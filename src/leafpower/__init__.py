@@ -5,6 +5,7 @@ from .errors import (
     CeilingExceededError,
     CertificateLabelMismatch,
     DegenerateTreeError,
+    InternalError,
     InvalidWitnessError,
     LabelNotFoundError,
     LeafPowerError,
@@ -64,4 +65,4 @@ from .tree_metric import (
     restrict_to_leaves,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout, diagnostics to stderr.  Exit codes:
 0 success/PASS, 1 valid negative answer (NONE/FAIL), 2 usage or format
-error, 3 capacity exceeded.  Rationals are serialized as "p/q" strings.
+error, 3 capacity exceeded, 4 internal error (a failed self-check: a bug,
+never an answer).  Rationals are serialized as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 from .errors import (
     CapacityError,
     CeilingExceededError,
+    InternalError,
     InvalidWitnessError,
     LeafPowerError,
 )
@@ -53,6 +55,7 @@ EXIT_PASS = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -393,6 +396,9 @@ def main(argv=None) -> int:
     except (CapacityError, CeilingExceededError) as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (LeafPowerError, ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

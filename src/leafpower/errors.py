@@ -47,3 +47,7 @@ class RealizationMismatchError(LeafPowerError):
 
 class InvalidWitnessError(LeafPowerError):
     """A certificate handed to a construction does not verify."""
+
+
+class InternalError(LeafPowerError):
+    """A self-check failed: a bug in the package, never an answer."""

@@ -6,35 +6,30 @@ and triangle-order realizability.  All strict inequalities in callers are
 pre-encoded as margin-1 constraints (``a < b`` becomes ``b - a >= 1``),
 which loses no solutions because every system here is scale-invariant.
 
-gmpy2.mpq is used internally for speed; the public API speaks Fraction.
+Python ints are used internally (fraction-free pivoting on integer rows);
+the public API speaks Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
+from .errors import InternalError
 
 GE = ">="
 LE = "<="
 EQ = "=="
 
-
-def _to_q(value):
-    if isinstance(value, Fraction):
-        return _Q(value.numerator, value.denominator)
-    return _Q(value)
+_FLIP = {GE: LE, LE: GE, EQ: EQ}
 
 
-def _to_fraction(value) -> Fraction:
-    return Fraction(value.numerator, value.denominator)
+def _integer_row(values: Sequence) -> tuple[list[int], int]:
+    """Ints or Fractions scaled by the lcm ``d`` of their denominators;
+    returns the integer row and ``d``."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def find_feasible_point(
@@ -45,80 +40,79 @@ def find_feasible_point(
 
     Each constraint is ``(coeffs, rel, rhs)`` with ``coeffs`` a sparse map
     from variable index to coefficient and ``rel`` one of ``>=``, ``<=``,
-    ``==``.  The returned point is a basic feasible solution (a vertex of
-    the polyhedron).
+    ``==``; coefficients and rhs are ints or Fractions.  The returned point
+    is a basic feasible solution (a vertex of the polyhedron).
+
+    Each tableau row is held as integers: ``s_i`` times the rational row,
+    with ``s_i > 0`` the entry in the row's basic column.  The objective
+    row is a positive multiple of the rational one.  Ratios ``rhs_i / a_i``
+    do not depend on ``s_i``, so the Dantzig choice, the ratio-test
+    tie-break and hence the pivot path are those of the rational simplex.
     """
     rows = []
-    rels = []
-    rhss = []
     for coeffs, rel, rhs in constraints:
-        row = [_ZERO] * num_vars
+        dense = [0] * num_vars
         for idx, c in coeffs.items():
-            row[idx] += _to_q(c)
-        rhs = _to_q(rhs)
-        if rhs < 0:
-            row = [-c for c in row]
-            rhs = -rhs
-            rel = {GE: LE, LE: GE, EQ: EQ}[rel]
-        rows.append(row)
-        rels.append(rel)
-        rhss.append(rhs)
+            dense[idx] = c
+        dense.append(rhs)
+        values, scale = _integer_row(dense)
+        if values[-1] < 0:
+            values = [-v for v in values]
+            rel = _FLIP[rel]
+        rows.append((values, rel, scale))
 
-    m = len(rows)
-    n_slack = sum(1 for r in rels if r != EQ)
-    n_art = sum(1 for r in rels if r != LE)
+    n_slack = sum(1 for _, rel, _ in rows if rel != EQ)
+    n_art = sum(1 for _, rel, _ in rows if rel != LE)
     width = num_vars + n_slack + n_art + 1  # trailing column is the rhs
 
     tableau = []
     basis = []
+    art_rows = []  # (row, scale) of the rows with an artificial basic column
     slack_at = num_vars
-    art_at = num_vars + n_slack
-    art_cols = []
-    for row, rel, rhs in zip(rows, rels, rhss):
-        full = row + [_ZERO] * (n_slack + n_art) + [rhs]
+    art_at = art_start = num_vars + n_slack
+    for values, rel, scale in rows:
+        row = values[:-1] + [0] * (n_slack + n_art) + values[-1:]
         if rel == LE:
-            full[slack_at] = _ONE
+            row[slack_at] = scale
             basis.append(slack_at)
             slack_at += 1
-        elif rel == GE:
-            full[slack_at] = -_ONE
-            slack_at += 1
-            full[art_at] = _ONE
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
         else:
-            full[art_at] = _ONE
+            if rel == GE:
+                row[slack_at] = -scale
+                slack_at += 1
+            row[art_at] = scale
             basis.append(art_at)
-            art_cols.append(art_at)
             art_at += 1
-        tableau.append(full)
+            art_rows.append((row, scale))
+        tableau.append(row)
 
-    if not art_cols:
+    if not art_rows:
         # every row had a slack basis; the all-zero point may still violate
         # nothing (all rhs >= 0 and rel <=), so it is feasible.
         return [Fraction(0)] * num_vars
 
-    art_set = set(art_cols)
-    # phase-1 objective row: sum of artificial rows
-    obj = [_ZERO] * width
-    for row, b in zip(tableau, basis):
-        if b in art_set:
-            for j in range(width):
-                if row[j]:
-                    obj[j] += row[j]
-    for col in art_cols:
-        obj[col] = _ZERO
+    # phase-1 objective row: the sum of the rational artificial rows, times
+    # the lcm of their scales
+    common = math.lcm(*(scale for _, scale in art_rows))
+    obj = [0] * width
+    for row, scale in art_rows:
+        k = common // scale
+        for j, v in enumerate(row):
+            if v:
+                obj[j] += k * v
+    for col in range(art_start, width - 1):
+        obj[col] = 0
 
+    m = len(tableau)
     n_cols = width - 1
-    enterable = [j for j in range(n_cols) if j not in art_set]
+    enterable = range(art_start)
     iterations = 0
     bland_after = 50 * (m + n_cols)
     while True:
         iterations += 1
         pivot_col = -1
         if iterations <= bland_after:
-            best = _ZERO
+            best = 0
             for j in enterable:
                 v = obj[j]
                 if v > best:
@@ -132,77 +126,89 @@ def find_feasible_point(
         if pivot_col < 0:
             break
         pivot_row = -1
-        best_ratio = None
-        for i in range(m):
-            a = tableau[i][pivot_col]
+        best_a = best_b = 0
+        for i, row in enumerate(tableau):
+            a = row[pivot_col]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[pivot_row]
+                b = row[-1]
+                # b / a < best_b / best_a, cross-multiplied (both a > 0)
+                if pivot_row < 0 or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and basis[i] < basis[pivot_row]
                 ):
-                    best_ratio = ratio
+                    best_a, best_b = a, b
                     pivot_row = i
         if pivot_row < 0:
-            # unbounded phase-1 column cannot happen with a bounded objective;
-            # treat defensively as "cannot improve"
-            enterable = [j for j in enterable if j != pivot_col]
-            continue
-        _pivot(tableau, obj, basis, pivot_row, pivot_col)
+            # the phase-1 objective is bounded below by 0, so an improving
+            # column always has a positive entry
+            raise InternalError("exact LP: unbounded phase-1 column")
+        obj = _pivot(tableau, obj, basis, pivot_row, pivot_col)
 
     if obj[-1] > 0:
         return None
     solution = [Fraction(0)] * num_vars
-    for i, b in enumerate(basis):
+    for row, b in zip(tableau, basis):
         if b < num_vars:
-            solution[b] = _to_fraction(tableau[i][-1])
+            solution[b] = Fraction(row[-1], row[b])
     return solution
 
 
 def _pivot(tableau, obj, basis, pivot_row, pivot_col):
+    """Eliminate ``pivot_col`` from every row but ``pivot_row`` and from the
+    objective, which is returned."""
     prow = tableau[pivot_row]
-    inv = _ONE / prow[pivot_col]
-    if inv != 1:
-        prow = [v * inv for v in prow]
-        tableau[pivot_row] = prow
-    for row in tableau:
-        if row is prow:
-            continue
+    p = prow[pivot_col]
+    nonzero = [(j, v) for j, v in enumerate(prow) if v]
+    for i, row in enumerate(tableau):
         f = row[pivot_col]
-        if f:
-            for j, pv in enumerate(prow):
-                if pv:
-                    row[j] -= f * pv
+        if f and i != pivot_row:
+            tableau[i] = _eliminate(row, p, f, nonzero)
     f = obj[pivot_col]
     if f:
-        for j, pv in enumerate(prow):
-            if pv:
-                obj[j] -= f * pv
+        obj = _eliminate(obj, p, f, nonzero)
     basis[pivot_row] = pivot_col
+    return obj
+
+
+def _eliminate(row, p, f, nonzero):
+    """``p * row - f * pivot_row``, given the pivot row's ``nonzero``
+    entries, divided by a positive factor that keeps the ints small; the
+    multiplier of ``row`` has the sign of ``p``.  May update ``row`` in
+    place."""
+    g = math.gcd(p, f)
+    if g > 1:
+        p //= g
+        f //= g
+    if p == 1:  # no growth: plain row operation
+        for j, v in nonzero:
+            row[j] -= f * v
+        return row
+    row = [p * v for v in row]
+    for j, v in nonzero:
+        row[j] -= f * v
+    g = math.gcd(*row)
+    if g > 1:
+        row = [v // g for v in row]
+    return row
 
 
 def rational_rank(rows: Sequence[Sequence[object]]) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    mat = [[_to_q(v) for v in row] for row in rows]
+    """Rank of a rational matrix (ints or Fractions) by fraction-free
+    Gaussian elimination."""
+    mat = [_integer_row(row)[0] for row in rows]
     rank = 0
-    col = 0
     n_cols = max((len(r) for r in mat), default=0)
-    while rank < len(mat) and col < n_cols:
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
+    for col in range(n_cols):
+        if rank == len(mat):
+            break
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
-            col += 1
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         prow = mat[rank]
-        inv = _ONE / prow[col]
-        mat[rank] = prow = [v * inv for v in prow]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
+        nonzero = [(j, v) for j, v in enumerate(prow) if v]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col]
+            if f:
+                mat[i] = _eliminate(mat[i], prow[col], f, nonzero)
         rank += 1
-        col += 1
     return rank

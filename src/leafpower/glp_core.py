@@ -10,7 +10,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import exactlp
-from .errors import CertificateLabelMismatch, MalformedGraphError, MalformedTreeError
+from .errors import (
+    CertificateLabelMismatch,
+    InternalError,
+    MalformedGraphError,
+    MalformedTreeError,
+)
 from .rational import format_rational, parse_rational
 from .tree_metric import WeightedTree
 
@@ -261,12 +266,14 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
         )
 
     solution = exactlp.find_feasible_point(m, constraints)
-    if solution is None:  # cannot happen (scaling the input is feasible); fallback
-        return IntegerizeResult(_clear_denominators(cert), False)
+    if solution is None:
+        # a scaled copy of the input weights satisfies every constraint
+        raise InternalError("integerize: separation system of a valid certificate is infeasible")
 
     denom_lcm = math.lcm(*(f.denominator for f in solution))
     weights = [f * denom_lcm for f in solution]
-    assert all(w.denominator == 1 and w >= 1 for w in weights)
+    if not all(w.denominator == 1 and w >= 1 for w in weights):
+        raise InternalError("integerize: scaled weights are not integers >= 1")
 
     new_tree = WeightedTree(
         [(u, v, weights[edge_index[frozenset((u, v))]]) for u, v, _ in edges],
@@ -281,7 +288,8 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
 
     new_thresholds = _replace_thresholds(thresholds, values, new_value_of)
     new_cert = GlpCertificate(new_tree, ThresholdSequence(tuple(new_thresholds)))
-    assert graph_from_certificate(new_cert) == graph_from_certificate(cert)
+    if graph_from_certificate(new_cert) != graph_from_certificate(cert):
+        raise InternalError("integerize: the integer certificate induces another graph")
 
     basic = basic_margins and _is_vertex(solution, constraints, m)
     return IntegerizeResult(new_cert, basic)
@@ -303,7 +311,8 @@ def _replace_thresholds(thresholds, values, new_value_of):
             candidate = new_thresholds[-1] + 1
         if above:
             hi = new_value_of[above[0]]
-            assert candidate < hi, "gap margin too small for thresholds"
+            if candidate >= hi:
+                raise InternalError("integerize: gap margin too small for thresholds")
         new_thresholds.append(candidate)
     return new_thresholds
 
@@ -326,15 +335,6 @@ def _is_vertex(solution, constraints, num_vars) -> bool:
     if not tight_rows:
         return num_vars == 0
     return exactlp.rational_rank(tight_rows) == num_vars
-
-
-def _clear_denominators(cert: GlpCertificate) -> GlpCertificate:
-    denoms = [w.denominator for _, _, w in cert.tree.edges]
-    denoms += [t.denominator for t in cert.thresholds]
-    factor = math.lcm(*denoms)
-    tree = cert.tree.scaled(factor)
-    thresholds = ThresholdSequence(tuple(t * factor for t in cert.thresholds))
-    return GlpCertificate(tree, thresholds)
 
 
 def _leaf_pair_paths(tree: WeightedTree, edge_index) -> dict:

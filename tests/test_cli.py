@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from leafpower import SimpleGraph, WeightedTree, toc_from_tree
+from leafpower import InternalError, SimpleGraph, WeightedTree, toc_from_tree
+from leafpower import cli
 from leafpower.cli import main
 
 from conftest import random_weighted_tree
@@ -163,6 +164,16 @@ def test_capacity_exit_code(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(g.to_json())
     assert run(capsys, "recognize", str(path), "-q", "1")[0] == 3
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise InternalError("self-check failed")
+
+    monkeypatch.setattr(cli, "_cmd_non_glp", broken)
+    code, _, err = run(capsys, "non-glp", "2")
+    assert code == 4
+    assert "internal error" in err
 
 
 def test_rationals_as_strings(capsys, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from leafpower import (
     CertificateLabelMismatch,
     GlpCertificate,
+    InternalError,
     MalformedGraphError,
     SimpleGraph,
     ThresholdSequence,
@@ -21,6 +22,7 @@ from leafpower import (
     is_chordal,
     verify_certificate,
 )
+from leafpower import exactlp
 
 from conftest import random_certificate, random_weighted_tree
 
@@ -176,6 +178,12 @@ class TestIntegerize:
                 for _, _, w in result.certificate.tree.edges:
                     assert w <= bound
         assert hits > 0  # the bound must actually get exercised
+
+    def test_infeasible_separation_system_raises(self, monkeypatch):
+        # an LP answer of "infeasible" here is a bug, not a reason to fall back
+        monkeypatch.setattr(exactlp, "find_feasible_point", lambda *args: None)
+        with pytest.raises(InternalError):
+            integerize_certificate_info(K4_CERT)
 
 
 def brute_force_chordal(graph):
