@@ -21,6 +21,7 @@ from .errors import (
     InternalError,
     InvalidWitnessError,
     LeafPowerError,
+    MalformedMetricError,
 )
 from .glp_core import (
     GlpCertificate,
@@ -152,14 +153,21 @@ def _cmd_verify(args) -> int:
     return EXIT_NEGATIVE
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _limits(args) -> RecognitionLimits:
     limits = RecognitionLimits()
-    if getattr(args, "max_leaves", None):
+    if args.max_leaves is not None:
         limits.max_leaves_q1 = args.max_leaves
         limits.max_leaves_q2 = args.max_leaves
         limits.max_leaves_q3 = args.max_leaves
         limits.max_leaves_other = args.max_leaves
-    if getattr(args, "ceiling", None):
+    if getattr(args, "ceiling", None) is not None:
         limits.leaf_rank_ceiling = args.ceiling
     return limits
 
@@ -254,11 +262,13 @@ def _cmd_check_4pc(args) -> int:
     data = json.loads(_read(args.matrix))
     points = data["points"]
     rows = data["distances"]
+    if len(points) != 4 or len(rows) != 4 or any(len(row) != 4 for row in rows):
+        raise MalformedMetricError("check-4pc takes exactly 4 points and a 4 x 4 distance matrix")
     d = {}
     for i, a in enumerate(points):
         for j, b in enumerate(points):
             d[(a, b)] = parse_rational(rows[i][j])
-    verdict = four_point_classify(d, points=tuple(points[:4]))
+    verdict = four_point_classify(d, points=tuple(points))
     _emit(
         {
             "case": verdict.case_id,
@@ -352,15 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("recognize", _cmd_recognize, graph="graph JSON path")
     sub.add_argument("-q", type=int, required=True, help="order of the hierarchy")
-    sub.add_argument("--max-leaves", type=int, help="override the size cap")
+    sub.add_argument("--max-leaves", type=_positive_int, help="override the size cap")
 
     sub = add("leaf-rank", _cmd_leaf_rank, graph="graph JSON path")
-    sub.add_argument("--max-leaves", type=int)
-    sub.add_argument("--ceiling", type=int, help="give up above this k")
+    sub.add_argument("--max-leaves", type=_positive_int)
+    sub.add_argument("--ceiling", type=_positive_int, help="give up above this k")
 
     sub = add("k-leaf-power", _cmd_k_leaf_power, graph="graph JSON path")
     sub.add_argument("-k", type=int, required=True)
-    sub.add_argument("--max-leaves", type=int)
+    sub.add_argument("--max-leaves", type=_positive_int)
 
     add("gen-gs", _cmd_gen_gs, toc="TOC text path")
     add("make-leafroot", _cmd_make_leafroot, toc="TOC text path", tree="tree JSON path")

@@ -17,7 +17,7 @@ from .errors import (
     MalformedTreeError,
 )
 from .rational import format_rational, parse_rational
-from .tree_metric import WeightedTree
+from .tree_metric import WeightedTree, _leaf_paths
 
 
 class SimpleGraph:
@@ -28,8 +28,6 @@ class SimpleGraph:
     def __init__(self, vertices: Iterable, edges: Iterable[tuple] = ()):
         self._vertices = tuple(sorted(set(vertices), key=str))
         vset = set(self._vertices)
-        if len(vset) != len(list(self._vertices)):
-            raise MalformedGraphError("duplicate vertex names")
         adj = {v: set() for v in self._vertices}
         edge_set = set()
         for u, v in edges:
@@ -222,15 +220,13 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
         new_thr = ThresholdSequence(tuple(Fraction(k + 1) for k in range(cert.order)))
         return IntegerizeResult(GlpCertificate(tree, new_thr), True)
 
-    edge_index = {frozenset((u, v)): k for k, (u, v, _) in enumerate(edges)}
-    paths = _leaf_pair_paths(tree, edge_index)
+    paths = _leaf_paths([(u, v) for u, v, _ in edges], [tree.vertex_of(a) for a in labels])
     matrix = tree.distance_matrix()
 
     # group leaf pairs by exact distance value
     by_value: dict = {}
-    for pair, path in paths.items():
-        a, b = tuple(pair)
-        by_value.setdefault(matrix[(a, b)], []).append(path)
+    for (i, j), path in paths.items():
+        by_value.setdefault(matrix[(labels[i], labels[j])], []).append(path)
     values = sorted(by_value)
     thresholds = list(cert.thresholds.thresholds)
 
@@ -276,7 +272,7 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
         raise InternalError("integerize: scaled weights are not integers >= 1")
 
     new_tree = WeightedTree(
-        [(u, v, weights[edge_index[frozenset((u, v))]]) for u, v, _ in edges],
+        [(u, v, w) for (u, v, _), w in zip(edges, weights)],
         tree.leaf_labels,
         vertices=tree.vertices,
     )
@@ -335,30 +331,6 @@ def _is_vertex(solution, constraints, num_vars) -> bool:
     if not tight_rows:
         return num_vars == 0
     return exactlp.rational_rank(tight_rows) == num_vars
-
-
-def _leaf_pair_paths(tree: WeightedTree, edge_index) -> dict:
-    """Edge-index sets of the leaf-to-leaf paths, keyed by label pair."""
-    labels = tree.labels()
-    paths = {}
-    for i, a in enumerate(labels):
-        source = tree.vertex_of(a)
-        parent = {source: None}
-        stack = [source]
-        while stack:
-            u = stack.pop()
-            for v in tree.neighbors(u):
-                if v not in parent:
-                    parent[v] = u
-                    stack.append(v)
-        for b in labels[i + 1 :]:
-            path = set()
-            v = tree.vertex_of(b)
-            while parent[v] is not None:
-                path.add(edge_index[frozenset((v, parent[v]))])
-                v = parent[v]
-            paths[frozenset((a, b))] = frozenset(path)
-    return paths
 
 
 def _path_coeffs(path):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import exactlp
-from .errors import CapacityError, CeilingExceededError
+from .errors import CapacityError, CeilingExceededError, InternalError
 from .glp_core import (
     GlpCertificate,
     SimpleGraph,
@@ -31,7 +31,7 @@ from .glp_core import (
     integerize_certificate,
     is_chordal,
 )
-from .tree_metric import WeightedTree
+from .tree_metric import WeightedTree, _leaf_paths, _walk
 
 TOPOLOGY_LEAF_CAP = 9  # n! leaf placements explode beyond this at desk scale
 
@@ -47,11 +47,8 @@ class RecognitionLimits:
     leaf_rank_ceiling: int = 64
 
     def cap_for(self, q: int) -> int:
-        if q <= 2:
-            return max(self.max_leaves_q1, self.max_leaves_q2) if q == 2 else self.max_leaves_q1
-        if q == 3:
-            return self.max_leaves_q3
-        return self.max_leaves_other
+        caps = {1: self.max_leaves_q1, 2: self.max_leaves_q2, 3: self.max_leaves_q3}
+        return caps.get(q, self.max_leaves_other)
 
 
 DEFAULT_LIMITS = RecognitionLimits()
@@ -180,34 +177,21 @@ def graph_automorphisms(graph: SimpleGraph) -> list[tuple[int, ...]]:
 
 
 def _split_key(edges: tuple, n: int) -> tuple:
-    """Nontrivial splits of a topology as canonical leaf bitmasks."""
-    if not edges:
-        return ()
+    """Nontrivial splits of a topology as canonical leaf bitmasks.
+
+    Each split is given by the side without leaf 0: the leaves below the
+    child end of an internal edge when the tree hangs from leaf 0.
+    """
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    full = (1 << n) - 1
+    below = {v: 1 << v if v < n else 0 for v in adj}
     masks = []
-    # leaf mask below each edge, via one DFS from leaf 0
-    below: dict[tuple[int, int], int] = {}
-
-    def mask_below(child, parent):
-        if (child, parent) in below:
-            return below[(child, parent)]
-        m = 1 << child if child < n else 0
-        for nb in adj[child]:
-            if nb != parent:
-                m |= mask_below(nb, child)
-        below[(child, parent)] = m
-        return m
-
-    for u, v in edges:
-        if u >= n and v >= n:  # internal edge <=> nontrivial split
-            m = mask_below(u, v)
-            if m & 1:
-                m = full & ~m
-            masks.append(m)
+    for v, parent in reversed(list(_walk(adj, 0))):
+        below[parent] |= below[v]
+        if v >= n and parent >= n:  # internal edge <=> nontrivial split
+            masks.append(below[v])
     return tuple(sorted(masks))
 
 
@@ -244,37 +228,38 @@ def _is_orbit_representative(key, tables, full):
     return True
 
 
+def _orbit_topologies(graph: SimpleGraph):
+    """The graph's edges as leaf-index pairs, and an iterator over the
+    topologies of ``iter_topologies`` on its vertices, one per orbit.
+
+    An automorphism of the graph maps a topology that works onto one that
+    works, so of each orbit only the topology with the least split key is
+    yielded.
+    """
+    n = len(graph)
+    if n > TOPOLOGY_LEAF_CAP:
+        raise CapacityError(f"{n} vertices exceeds the topology cap of {TOPOLOGY_LEAF_CAP}")
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    edge_pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
+    autos = [p for p in graph_automorphisms(graph) if p != tuple(range(n))]
+    tables = _permute_mask_tables(autos, n)
+    full = (1 << n) - 1
+
+    def representatives():
+        for edges in iter_topologies(n):
+            if not tables or _is_orbit_representative(_split_key(edges, n), tables, full):
+                yield edges
+
+    return edge_pairs, representatives()
+
+
 # ---------------------------------------------------------------------------
 # region assignments, quartet pruning and the feasibility LP
 
 
 def _pair_paths(edges: tuple, n: int):
     """For each leaf pair, the set of edge indices on its path."""
-    adj: dict[int, list[int]] = {v: [] for e in edges for v in e}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    edge_index = {frozenset(e): i for i, e in enumerate(edges)}
-    paths = {}
-    for a in range(n):
-        parent = {a: None}
-        order = [a]
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in parent:
-                    parent[v] = u
-                    stack.append(v)
-                    order.append(v)
-        for b in range(a + 1, n):
-            path = []
-            v = b
-            while parent[v] is not None:
-                path.append(edge_index[frozenset((v, parent[v]))])
-                v = parent[v]
-            paths[(a, b)] = tuple(path)
-    return paths
+    return _leaf_paths(edges, range(n))
 
 
 def _region_interval(r: int, q: int):
@@ -384,7 +369,7 @@ def _allowed_regions(is_edge: bool, q: int) -> tuple:
 class _TopologySearch:
     """Backtracking region-assignment search for one topology."""
 
-    def __init__(self, edges, n, graph_edges_idx, q, rules: _QuartetRules):
+    def __init__(self, edges, n, edge_pairs, q, rules: _QuartetRules):
         self.edges = edges
         self.n = n
         self.q = q
@@ -393,7 +378,7 @@ class _TopologySearch:
         self.pairs = sorted(self.paths)
         self.pair_pos = {p: i for i, p in enumerate(self.pairs)}
         self.allowed = [
-            _allowed_regions(p in graph_edges_idx, q) for p in self.pairs
+            _allowed_regions(p in edge_pairs, q) for p in self.pairs
         ]
         self.assignment = [None] * len(self.pairs)
         # branch on forced pairs first, then natural order
@@ -491,22 +476,18 @@ class _TopologySearch:
         return weights, thetas
 
 
-def _certificate_from(topology_edges, n, labels, weights, thetas) -> GlpCertificate:
-    if not topology_edges:  # single leaf
-        tree = WeightedTree([], {labels[0]: labels[0]}, vertices=[labels[0]])
-        return GlpCertificate(tree, ThresholdSequence(tuple(thetas)))
-    name = {}
-    for e in topology_edges:
-        for v in e:
-            if v < n:
-                name[v] = labels[v]
-            else:
-                name[v] = f"int{v - n}"
-    tree = WeightedTree(
-        [(name[u], name[v], w) for (u, v), w in zip(topology_edges, weights)],
-        {labels[i]: labels[i] for i in range(n)},
+def _tree_from(edges, labels, weights) -> WeightedTree:
+    """The weighted tree of a topology: leaf i is named ``labels[i]`` and
+    internal vertex v is named ``int{v - n}``."""
+    n = len(labels)
+
+    def name(v):
+        return labels[v] if v < n else f"int{v - n}"
+
+    return WeightedTree(
+        [(name(u), name(v), w) for (u, v), w in zip(edges, weights)],
+        {label: label for label in labels},
     )
-    return GlpCertificate(tree, ThresholdSequence(tuple(thetas)))
 
 
 def recognize_glp(
@@ -527,32 +508,21 @@ def recognize_glp(
         raise CapacityError(f"{n} vertices exceeds the q={q} cap of {cap}")
     labels = list(graph.vertices)
     if n == 1:
-        tree = WeightedTree([], {labels[0]: labels[0]}, vertices=[labels[0]])
         thetas = tuple(Fraction(k + 1) for k in range(q))
-        return GlpCertificate(tree, ThresholdSequence(thetas))
+        return GlpCertificate(_tree_from((), labels, ()), ThresholdSequence(thetas))
     if q == 1 and not is_chordal(graph):
         return None
 
-    index = {v: i for i, v in enumerate(labels)}
-    graph_edges_idx = {
-        tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()
-    }
-    autos = [p for p in graph_automorphisms(graph) if p != tuple(range(n))]
-    tables = _permute_mask_tables(autos, n) if autos else []
-    full = (1 << n) - 1
+    edge_pairs, topologies = _orbit_topologies(graph)
     rules = _QuartetRules(q)
-
-    for edges in iter_topologies(n):
-        if tables:
-            key = _split_key(edges, n)
-            if not _is_orbit_representative(key, tables, full):
-                continue
-        search = _TopologySearch(edges, n, graph_edges_idx, q, rules)
-        result = search.search()
+    for edges in topologies:
+        result = _TopologySearch(edges, n, edge_pairs, q, rules).search()
         if result is not None:
             weights, thetas = result
-            cert = _certificate_from(edges, n, labels, weights, thetas)
-            assert graph_from_certificate(cert) == graph
+            tree = _tree_from(edges, labels, weights)
+            cert = GlpCertificate(tree, ThresholdSequence(tuple(thetas)))
+            if graph_from_certificate(cert) != graph:
+                raise InternalError("recognize_glp: the certificate induces another graph")
             return integerize_certificate(cert)
     return None
 
@@ -600,29 +570,19 @@ def is_k_leaf_power(
         raise CapacityError(f"{n} vertices exceeds the cap of {limits.max_leaves_q1}")
     labels = list(graph.vertices)
     if n == 1:
-        return WeightedTree([], {labels[0]: labels[0]}, vertices=[labels[0]])
+        return _tree_from((), labels, ())
     if not is_chordal(graph):
         return None
-    index = {v: i for i, v in enumerate(labels)}
-    graph_edges_idx = {
-        tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()
-    }
-    autos = [p for p in graph_automorphisms(graph) if p != tuple(range(n))]
-    tables = _permute_mask_tables(autos, n) if autos else []
-    full = (1 << n) - 1
 
-    for edges in iter_topologies(n):
-        if tables:
-            key = _split_key(edges, n)
-            if not _is_orbit_representative(key, tables, full):
-                continue
+    edge_pairs, topologies = _orbit_topologies(graph)
+    for edges in topologies:
         m = len(edges)
         paths = _pair_paths(edges, n)
         constraints = [({e: 1}, exactlp.GE, 1) for e in range(m)]
         ok_shape = True
         for pair, path in paths.items():
             coeffs = {e: 1 for e in path}
-            if pair in graph_edges_idx:
+            if pair in edge_pairs:
                 if len(path) > k:  # every edge weighs >= 1
                     ok_shape = False
                     break
@@ -633,10 +593,11 @@ def is_k_leaf_power(
             continue
         solution = _ilp_feasible(m, constraints, k + 1)
         if solution is not None:
-            weights = [int(v) for v in solution]
-            cert = _certificate_from(edges, n, labels, weights, [Fraction(k)])
-            assert graph_from_certificate(cert) == graph
-            return cert.tree
+            tree = _tree_from(edges, labels, [int(v) for v in solution])
+            cert = GlpCertificate(tree, ThresholdSequence((Fraction(k),)))
+            if graph_from_certificate(cert) != graph:
+                raise InternalError("is_k_leaf_power: the k-leaf root induces another graph")
+            return tree
     return None
 
 
@@ -655,8 +616,9 @@ def leaf_rank(
     cert = recognize_glp(graph, 1, limits)
     if cert is None:
         return None
-    theta = integerize_certificate(cert).thresholds.thresholds[0]
-    assert theta.denominator == 1
+    theta = cert.thresholds.thresholds[0]  # recognize_glp integerizes
+    if theta.denominator != 1:
+        raise InternalError("leaf_rank: the integerized threshold is not an integer")
     upper = int(theta)
     ceiling = min(upper, limits.leaf_rank_ceiling)
     for k in range(1, ceiling + 1):
@@ -666,4 +628,4 @@ def leaf_rank(
         raise CeilingExceededError(
             f"no k-leaf root found up to the ceiling {limits.leaf_rank_ceiling}"
         )
-    raise AssertionError("integerized certificate should witness k = upper")
+    raise InternalError("leaf_rank: the integer certificate does not witness k = upper")

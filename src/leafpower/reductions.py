@@ -18,6 +18,7 @@ from . import exactlp
 from .errors import (
     CapacityError,
     DegenerateTreeError,
+    InternalError,
     InvalidWitnessError,
     RealizationMismatchError,
     TocFormatError,
@@ -32,8 +33,8 @@ from .glp_core import (
     verify_certificate,
 )
 from .rational import format_rational, parse_rational
-from .recognition import TOPOLOGY_LEAF_CAP, _pair_paths, iter_topologies
-from .tree_metric import WeightedTree, restrict_to_leaves
+from .recognition import TOPOLOGY_LEAF_CAP, _pair_paths, _tree_from, iter_topologies
+from .tree_metric import WeightedTree, _distances, restrict_to_leaves
 
 TOC_REALIZABILITY_CAP = 7
 
@@ -227,12 +228,15 @@ def extend_order(toc: TocInstance) -> ExtendedOrder:
     ext = ExtendedOrder(toc, elements)
     # the rules must induce a strict total order within every triple
     for x, y, z in itertools.combinations(elements, 3):
-        assert ext.prec(x, y, z) != ext.prec(x, z, y), (x, y, z)
         xy_xz = ext.prec(x, y, z)  # xy < xz ?
         xy_yz = ext.prec(y, x, z)  # xy < yz ?
         xz_yz = ext.prec(z, x, y)  # xz < yz ?
-        assert not (xy_xz and xz_yz and not xy_yz), (x, y, z)
-        assert not (xy_yz and not xz_yz and not xy_xz), (x, y, z)
+        if (
+            xy_xz == ext.prec(x, z, y)
+            or (xy_xz and xz_yz and not xy_yz)
+            or (xy_yz and not xz_yz and not xy_xz)
+        ):
+            raise InternalError(f"extend_order: no strict total order on {(x, y, z)}")
     return ext
 
 
@@ -284,7 +288,8 @@ def build_gs(toc: TocInstance) -> GadgetGraph:
                     edges.append((u_name[(x, z)], v_name[y]))
     graph = SimpleGraph(vertices, edges)
     n = len(toc.elements)
-    assert len(graph) == 2 * n + 4 * n * n + 1
+    if len(graph) != 2 * n + 4 * n * n + 1:
+        raise InternalError(f"build_gs: {len(graph)} vertices for |S| = {n}")
     roles = {
         "v": dict(v_name),
         "u": {f"{x},{y}": name for (x, y), name in u_name.items()},
@@ -300,22 +305,6 @@ def build_gs(toc: TocInstance) -> GadgetGraph:
 def _integer_scaled(tree: WeightedTree) -> WeightedTree:
     denom = lcm(*(Fraction(w).denominator for _, _, w in tree.edges))
     return tree.scaled(denom) if denom != 1 else tree
-
-
-def _tree_dist(adj: dict, a, b) -> Fraction:
-    parent = {a: None}
-    cost = {a: Fraction(0)}
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        if u == b:
-            return cost[b]
-        for v, w in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                cost[v] = cost[u] + w
-                stack.append(v)
-    return cost[b]
 
 
 def leaf_root_from_tree(tree: WeightedTree, toc: TocInstance) -> GlpCertificate:
@@ -345,8 +334,8 @@ def leaf_root_from_tree(tree: WeightedTree, toc: TocInstance) -> GlpCertificate:
     adj: dict = {}
 
     def add_edge(a, b, w):
-        adj.setdefault(a, []).append((b, w))
-        adj.setdefault(b, []).append((a, w))
+        adj.setdefault(a, {})[b] = w
+        adj.setdefault(b, {})[a] = w
 
     label_of = {v: lbl for lbl, v in tree.leaf_labels.items()}
 
@@ -368,8 +357,7 @@ def leaf_root_from_tree(tree: WeightedTree, toc: TocInstance) -> GlpCertificate:
         # two leaves joined by one edge: split it in half to make an anchor
         (u, v, w), = [(a, b, w) for a, b, w in tree.edges]
         a, b = host_name(u), host_name(v)
-        adj[a] = [(x, ww) for x, ww in adj[a] if x != b]
-        adj[b] = [(x, ww) for x, ww in adj[b] if x != a]
+        del adj[a][b], adj[b][a]
         anchor = "t_mid"
         add_edge(a, anchor, 2 * w)
         add_edge(anchor, b, 2 * w)
@@ -385,11 +373,13 @@ def leaf_root_from_tree(tree: WeightedTree, toc: TocInstance) -> GlpCertificate:
         add_edge(f"p_{x}", f"v_{x}", Fraction(1))
         add_edge(f"p_{x}", f"O_{x}", 5 * diam)
 
-    # step 5: u_{x,y} at 5*diam - d(p_x, v_y) off O_x
+    # step 5: u_{x,y} at 5*diam - d(p_x, v_y) off O_x, where v_y hangs at 1 off p_y
     for x in sprime:
+        dist = _distances(adj, f"p_{x}")
         for y in sprime:
-            w = 5 * diam - _tree_dist(adj, f"p_{x}", f"v_{y}")
-            assert w > 0
+            w = 5 * diam - dist[f"p_{y}"] - 1
+            if w <= 0:
+                raise InternalError(f"leaf_root_from_tree: weight {w} for u_{x},{y}")
             add_edge(f"O_{x}", f"u_{x},{y}", w)
 
     labels = {"O": "O"}
@@ -397,16 +387,11 @@ def leaf_root_from_tree(tree: WeightedTree, toc: TocInstance) -> GlpCertificate:
         labels[f"v_{x}"] = f"v_{x}"
         for y in sprime:
             labels[f"u_{x},{y}"] = f"u_{x},{y}"
-    edge_list = []
-    seen = set()
-    for a in adj:
-        for b, w in adj[a]:
-            if frozenset((a, b)) not in seen:
-                seen.add(frozenset((a, b)))
-                edge_list.append((a, b, w))
+    edge_list = [(a, b, w) for a in adj for b, w in adj[a].items() if a < b]
     root = WeightedTree(edge_list, labels)
     cert = GlpCertificate(root, ThresholdSequence((10 * diam - 1,)))
-    assert graph_from_certificate(cert) == build_gs(toc).graph
+    if graph_from_certificate(cert) != build_gs(toc).graph:
+        raise InternalError("leaf_root_from_tree: the leaf root does not induce G_S")
     return cert
 
 
@@ -415,7 +400,7 @@ def extract_toc_tree(cert: GlpCertificate, gadget: GadgetGraph) -> WeightedTree:
 
     The restriction of the certificate tree to the minus-copy leaves
     realizes the original order; that is a theorem about any verifying
-    certificate, so it is asserted, not re-derived.
+    certificate, so it is only checked, not re-derived.
     """
     if not verify_certificate(gadget.graph, cert):
         raise InvalidWitnessError("certificate does not verify against the gadget")
@@ -425,7 +410,8 @@ def extract_toc_tree(cert: GlpCertificate, gadget: GadgetGraph) -> WeightedTree:
     # the order encoded in the gadget: ij < ik  <=>  edge (u_{i-,k-}, v_{j-})
     for i, j, k in itertools.permutations(gadget.elements, 3):
         if gadget.graph.has_edge(gadget.u(minus(i), minus(k)), gadget.v(minus(j))):
-            assert sub.distance(i, j) < sub.distance(i, k), (i, j, k)
+            if not sub.distance(i, j) < sub.distance(i, k):
+                raise InternalError(f"extract_toc_tree: order of {(i, j, k)} not realized")
     return sub
 
 
@@ -495,7 +481,7 @@ def toc_realizability_small(toc: TocInstance) -> WeightedTree | None:
         raise CapacityError(f"|S| = {n} exceeds the cap of {TOC_REALIZABILITY_CAP}")
     labels = list(toc.elements)
     if n == 1:
-        return WeightedTree([], {labels[0]: labels[0]}, vertices=[labels[0]])
+        return _tree_from((), labels, ())
     index = {e: i for i, e in enumerate(labels)}
     relations = []  # (smaller pair, larger pair) as index pairs
     for triple, order in toc.triple_orders.items():
@@ -521,15 +507,8 @@ def toc_realizability_small(toc: TocInstance) -> WeightedTree | None:
         solution = exactlp.find_feasible_point(m, constraints)
         if solution is None:
             continue
-        weights = [w + 1 for w in solution]
-        name = {}
-        for e in edges:
-            for v in e:
-                name[v] = labels[v] if v < n else f"int{v - n}"
-        tree = WeightedTree(
-            [(name[u], name[v], w) for (u, v), w in zip(edges, weights)],
-            {labels[i]: labels[i] for i in range(n)},
-        )
-        assert toc.realized_by(tree)
+        tree = _tree_from(edges, labels, [w + 1 for w in solution])
+        if not toc.realized_by(tree):
+            raise InternalError("toc_realizability_small: the tree does not realize the order")
         return tree
     return None

@@ -24,6 +24,55 @@ from .rational import format_rational, parse_rational
 VIOLATION = "VIOLATION"
 
 
+def _walk(adj: Mapping, source):
+    """Yield ``(vertex, parent)`` for each vertex reachable from ``source``
+    other than ``source`` itself, in depth-first visiting order.
+
+    ``adj`` maps a vertex to an iterable of its neighbours.  In a tree,
+    ``parent`` is the neighbour on the path back to ``source``, so every
+    vertex comes after its parent.
+    """
+    seen = {source}
+    stack = [source]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+                yield v, u
+
+
+def _distances(adj: Mapping, source) -> dict:
+    """Distances from ``source`` in a tree whose ``adj`` maps a vertex to
+    ``{neighbour: weight}``."""
+    dist = {source: Fraction(0)}
+    for v, u in _walk(adj, source):
+        dist[v] = dist[u] + adj[u][v]
+    return dist
+
+
+def _leaf_paths(edges, leaves) -> dict:
+    """Edge indices on the path between ``leaves[i]`` and ``leaves[j]``,
+    keyed by ``(i, j)`` for i < j in that order; ``edges`` lists the tree's
+    ``(u, v)`` pairs and an edge's index is its position there."""
+    adj: dict = {}
+    for k, (u, v) in enumerate(edges):
+        adj.setdefault(u, {})[v] = k
+        adj.setdefault(v, {})[u] = k
+    paths = {}
+    for i, a in enumerate(leaves):
+        parent = dict(_walk(adj, a))
+        for j in range(i + 1, len(leaves)):
+            path = []
+            v = leaves[j]
+            while v != a:
+                path.append(adj[v][parent[v]])
+                v = parent[v]
+            paths[(i, j)] = tuple(path)
+    return paths
+
+
 class WeightedTree:
     """An immutable positively weighted tree with labeled leaves.
 
@@ -62,18 +111,8 @@ class WeightedTree:
             raise MalformedTreeError(
                 f"{len(canon_edges)} edges on {len(adj)} vertices is not a tree"
             )
-        # connectivity
-        if adj:
-            start = next(iter(adj))
-            seen = {start}
-            stack = [start]
-            while stack:
-                for nb in adj[stack.pop()]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if len(seen) != len(adj):
-                raise MalformedTreeError("edge set is not connected")
+        if sum(1 for _ in _walk(adj, next(iter(adj)))) != len(adj) - 1:
+            raise MalformedTreeError("edge set is not connected")
         if len(set(labels.values())) != len(labels):
             raise MalformedTreeError("leaf_labels is not injective")
         for label, vertex in labels.items():
@@ -126,19 +165,6 @@ class WeightedTree:
 
     # -- distances -------------------------------------------------------
 
-    def _single_source(self, source) -> dict:
-        dist = {source: Fraction(0)}
-        stack = [source]
-        adj = self._adj
-        while stack:
-            u = stack.pop()
-            du = dist[u]
-            for v, w in adj[u].items():
-                if v not in dist:
-                    dist[v] = du + w
-                    stack.append(v)
-        return dist
-
     def vertex_distance(self, u, v) -> Fraction:
         if u not in self._adj:
             raise LabelNotFoundError(u)
@@ -146,7 +172,7 @@ class WeightedTree:
             raise LabelNotFoundError(v)
         if u == v:
             return Fraction(0)
-        return self._single_source(u)[v]
+        return _distances(self._adj, u)[v]
 
     def distance(self, a, b) -> Fraction:
         """Exact distance between two labeled leaves."""
@@ -158,7 +184,7 @@ class WeightedTree:
             labels = self.labels()
             matrix = {}
             for a in labels:
-                dist = self._single_source(self._labels[a])
+                dist = _distances(self._adj, self._labels[a])
                 for b in labels:
                     matrix[(a, b)] = dist[self._labels[b]]
             self._matrix = matrix

@@ -166,6 +166,39 @@ def test_capacity_exit_code(capsys, tmp_path):
     assert run(capsys, "recognize", str(path), "-q", "1")[0] == 3
 
 
+def test_max_leaves_above_topology_cap_fails_fast(capsys, tmp_path):
+    vs = [f"v{i}" for i in range(10)]
+    path = tmp_path / "p10.json"
+    path.write_text(SimpleGraph(vs, zip(vs, vs[1:])).to_json())
+    for args in (
+        ("recognize", "-q", "1"),
+        ("recognize", "-q", "2"),
+        ("leaf-rank",),
+        ("k-leaf-power", "-k", "3"),
+    ):
+        code, _, err = run(capsys, args[0], str(path), *args[1:], "--max-leaves", "12")
+        assert code == 3 and "topology cap" in err
+
+
+def test_limits_below_one_are_usage_errors(capsys, c4_path):
+    assert run(capsys, "recognize", c4_path, "-q", "2", "--max-leaves", "0")[0] == 2
+    assert run(capsys, "k-leaf-power", c4_path, "-k", "2", "--max-leaves", "-1")[0] == 2
+    assert run(capsys, "leaf-rank", c4_path, "--ceiling", "0")[0] == 2
+
+
+def test_check_4pc_needs_four_points(capsys, tmp_path):
+    for n_points, n_rows in ((3, 3), (5, 5), (4, 3)):
+        points = "abcde"[:n_points]
+        matrix = {
+            "points": list(points),
+            "distances": [["0" if a == b else "2" for b in points] for a in points][:n_rows],
+        }
+        path = tmp_path / f"m{n_points}{n_rows}.json"
+        path.write_text(json.dumps(matrix))
+        code, out, err = run(capsys, "check-4pc", str(path))
+        assert code == 2 and out == "" and "exactly 4 points" in err
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(args):
         raise InternalError("self-check failed")

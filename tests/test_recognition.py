@@ -1,12 +1,17 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from leafpower import (
     CapacityError,
+    InternalError,
+    RecognitionLimits,
     SimpleGraph,
     cert_lift,
     enumerate_topologies,
@@ -14,9 +19,11 @@ from leafpower import (
     is_chordal,
     is_k_leaf_power,
     leaf_rank,
+    non_glp_family,
     recognize_glp,
     verify_certificate,
 )
+from leafpower import glp_core, recognition
 from leafpower.recognition import (
     _QuartetRules,
     _TopologySearch,
@@ -24,6 +31,7 @@ from leafpower.recognition import (
     iter_topologies,
 )
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 C4 = SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
 
 # number of series-reduced trees on n labeled leaves (total partitions
@@ -299,3 +307,78 @@ class TestAutomorphisms:
     def test_edgeless(self):
         g = SimpleGraph("abc")
         assert len(graph_automorphisms(g)) == 6
+
+
+class TestLimits:
+    def test_cap_for_is_per_q(self):
+        g = SimpleGraph("abcde")
+        with pytest.raises(CapacityError):
+            recognize_glp(g, 2, RecognitionLimits(max_leaves_q2=4))
+        assert recognize_glp(g, 1, RecognitionLimits(max_leaves_q2=4)) is not None
+
+
+class TestSelfChecks:
+    def test_leaf_rank_integerizes_once(self, monkeypatch):
+        calls = []
+        original = glp_core.integerize_certificate_info
+
+        def counting(cert):
+            calls.append(cert)
+            return original(cert)
+
+        monkeypatch.setattr(glp_core, "integerize_certificate_info", counting)
+        p4 = SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+        assert leaf_rank(p4) == 3
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "search",
+        [lambda: recognize_glp(C4, 2), lambda: is_k_leaf_power(SimpleGraph("ab"), 1)],
+        ids=["recognize_glp", "is_k_leaf_power"],
+    )
+    def test_wrong_certificate_graph_raises(self, monkeypatch, search):
+        monkeypatch.setattr(recognition, "graph_from_certificate", lambda cert: SimpleGraph("z"))
+        with pytest.raises(InternalError):
+            search()
+
+    def test_wrong_certificate_graph_raises_under_optimize(self):
+        code = (
+            "assert False, 'asserts must be stripped: run with -O'\n"
+            "from leafpower import InternalError, SimpleGraph, recognition\n"
+            "recognition.graph_from_certificate = lambda cert: SimpleGraph('z')\n"
+            "c4 = SimpleGraph('abcd', [('a', 'b'), ('b', 'c'), ('c', 'd'), ('d', 'a')])\n"
+            "try:\n"
+            "    recognition.recognize_glp(c4, 2)\n"
+            "except InternalError:\n"
+            "    print('InternalError')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": SRC},
+        ).stdout
+        assert out.strip() == "InternalError"
+
+
+class TestOrbitFilter:
+    def test_non_glp_family_2_search_count(self, monkeypatch):
+        """Deterministic work counts of the orbit-filtered topology loop."""
+        counts = {"topologies": 0, "searches": 0}
+        topologies = recognition.iter_topologies
+
+        def counting_topologies(n):
+            for edges in topologies(n):
+                counts["topologies"] += 1
+                yield edges
+
+        class CountingSearch(recognition._TopologySearch):
+            def __init__(self, *args):
+                counts["searches"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(recognition, "iter_topologies", counting_topologies)
+        monkeypatch.setattr(recognition, "_TopologySearch", CountingSearch)
+        assert recognize_glp(non_glp_family(2), 2) is None
+        assert counts == {"topologies": 39208, "searches": 688}
