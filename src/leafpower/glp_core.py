@@ -234,7 +234,7 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
     def gap_margin(low_value, high_value) -> int:
         inside = sum(1 for t in thresholds if (low_value is None or low_value < t) and t < high_value)
         # k thresholds strictly inside a gap need k+1 units of room
-        return inside + 1 if inside else 1
+        return inside + 1
 
     constraints = []
     for k in range(m):
@@ -251,8 +251,7 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
     if below:
         # room for integer thresholds in [1, first value)
         constraints.append((_path_coeffs(by_value[values[0]][0]), exactlp.GE, below + 1))
-        if below + 1 > 1:
-            basic_margins = False
+        basic_margins = False
     for low, high in zip(values, values[1:]):
         margin = gap_margin(low, high)
         if margin > 1:

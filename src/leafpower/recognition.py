@@ -76,7 +76,7 @@ def iter_topologies(n: int) -> Iterator[tuple]:
     uniquely, so no duplicates are produced.
     """
     if n < 1:
-        raise CapacityError("need at least 1 leaf")
+        raise ValueError("need at least 1 leaf")
     if n == 1:
         yield ()
         return
@@ -262,102 +262,50 @@ def _pair_paths(edges: tuple, n: int):
     return _leaf_paths(edges, range(n))
 
 
-def _region_interval(r: int, q: int):
-    """Distance interval for region r as linear forms in the thresholds.
+def _can_be_le(lo, hi) -> bool:
+    """Can a sum of two distances in regions ``lo`` be at most a sum of two
+    distances in regions ``hi``, for some threshold sequence?
 
-    A form is (const, coeffs over theta_1..theta_q); the upper end of the
-    last region is None (unbounded).  Region r means theta_r < d <= theta_{r+1}.
+    Region r means theta_r < x <= theta_{r+1}, with theta_0 = 0,
+    theta_{q+1} = infinity and 0 < theta_1 < ... < theta_q otherwise free.
+    Let a <= b be the ``lo`` regions and c <= d the ``hi`` regions.  Each
+    distance ranges over its region, so the ``lo`` sum can sit at or below
+    the ``hi`` sum exactly when theta_a + theta_b < theta_{c+1} + theta_{d+1}
+    for some thresholds.
+
+    - If d >= b, then d + 1 > b >= a: raising theta_{d+1} and every
+      threshold above it leaves theta_a and theta_b alone and makes the
+      right side as large as needed.
+    - If c >= a and d < b, then a < c + 1 <= d + 1 <= b: a wide gap between
+      theta_a and theta_{a+1}, with every other gap narrow, makes
+      theta_{c+1} - theta_a exceed theta_b - theta_{d+1}.
+    - Otherwise c + 1 <= a and d + 1 <= b, so theta_{c+1} <= theta_a and
+      theta_{d+1} <= theta_b for every sequence.
     """
-    lo = [1] + [1 if i + 1 <= r else 0 for i in range(q)]
-    up = None if r == q else [0] + [1 if i == r else 0 for i in range(q)]
-    return lo, up
+    return max(hi) >= max(lo) or min(lo) <= min(hi)
 
 
-def _form_sup_nonneg(form, q: int) -> bool:
-    """Is sup of a linear form over {theta_1>=1, theta_{i+1}>=theta_i+1} >= 0?
-
-    The recession cone is generated by the suffix indicator vectors, so the
-    sup is +inf iff some suffix coefficient sum is positive; otherwise the
-    max is attained at the vertex theta = (1, 2, ..., q).
-    """
-    coeffs = form[1:]
-    suffix = 0
-    for c in reversed(coeffs):
-        suffix += c
-        if suffix > 0:
-            return True
-    value = form[0] + sum(c * (i + 1) for i, c in enumerate(coeffs))
-    return value >= 0
-
-
-class _QuartetRules:
-    """Exact necessary conditions on region 4-tuples for one quartet.
-
-    For a quartet with tree split P|P' the two cross sums must be able to
-    be equal and the split sum must be able to be <= them, with each
-    distance ranging freely over its region interval.  This is a sound
-    relaxation used purely for pruning.
-    """
-
-    def __init__(self, q: int):
-        self.q = q
-        self._le_memo: dict = {}
-
-    def _possible_le(self, cats_lo, cats_hi) -> bool:
-        key = (cats_lo, cats_hi)
-        memo = self._le_memo
-        if key in memo:
-            return memo[key]
-        q = self.q
-        ups = [_region_interval(r, q)[1] for r in cats_hi]
-        if any(u is None for u in ups):
-            memo[key] = True
-            return True
-        los = [_region_interval(r, q)[0] for r in cats_lo]
-        form = [0] * (q + 1)
-        for u in ups:
-            for i, c in enumerate(u):
-                form[i] += c
-        for lo in los:
-            for i, c in enumerate(lo):
-                form[i] -= c
-        result = _form_sup_nonneg(form, q)
-        memo[key] = result
-        return result
-
-    def feasible(self, split_cats, cross1_cats, cross2_cats) -> bool:
-        c1 = tuple(sorted(cross1_cats))
-        c2 = tuple(sorted(cross2_cats))
-        if not (self._possible_le(c1, c2) and self._possible_le(c2, c1)):
-            return False
-        if split_cats is None:  # star quartet: all three sums equal
-            return True
-        s = tuple(sorted(split_cats))
-        return self._possible_le(s, c1) and self._possible_le(s, c2)
+# Checks on a quartet's three pair sums, as (lo, hi) indices that must
+# satisfy _can_be_le.  By the four-point condition the two cross sums of a
+# split quartet (indices 1 and 2) are equal and the split sum (index 0) is
+# at most both; the three sums of a star quartet are equal.
+_SPLIT_CHECKS = ((1, 2), (2, 1), (0, 1), (0, 2))
+_STAR_CHECKS = tuple(itertools.permutations(range(3), 2))
 
 
 def _quartet_structures(n: int, paths):
-    """Per 4-subset: the three pair groupings with the split grouping first,
-    or all three marked equal for star quartets."""
+    """Per 4-subset: its three pair groupings, the split grouping first
+    when there is one, and the checks that apply to their sums."""
     structures = []
-    for quad in itertools.combinations(range(n), 4):
-        a, b, c, d = quad
-        pairings = [
-            (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))),
-            (((a, c), (b, d)), ((a, b), (c, d)), ((a, d), (b, c))),
-            (((a, d), (b, c)), ((a, b), (c, d)), ((a, c), (b, d))),
-        ]
-        split = None
-        for idx, (main, _o1, _o2) in enumerate(pairings):
-            (p1, p2) = main
-            if not set(paths[p1]) & set(paths[p2]):
-                split = idx
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        groupings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+        for idx, (p1, p2) in enumerate(groupings):
+            if set(paths[p1]).isdisjoint(paths[p2]):
+                others = groupings[:idx] + groupings[idx + 1:]
+                structures.append(((groupings[idx],) + others, _SPLIT_CHECKS))
                 break
-        if split is None:
-            # star quartet: all three sums are forced equal
-            structures.append((quad, None, pairings[0]))
         else:
-            structures.append((quad, split, pairings[split]))
+            structures.append((groupings, _STAR_CHECKS))
     return structures
 
 
@@ -369,14 +317,13 @@ def _allowed_regions(is_edge: bool, q: int) -> tuple:
 class _TopologySearch:
     """Backtracking region-assignment search for one topology."""
 
-    def __init__(self, edges, n, edge_pairs, q, rules: _QuartetRules):
+    def __init__(self, edges, n, edge_pairs, q):
         self.edges = edges
         self.n = n
         self.q = q
-        self.rules = rules
         self.paths = _pair_paths(edges, n)
         self.pairs = sorted(self.paths)
-        self.pair_pos = {p: i for i, p in enumerate(self.pairs)}
+        pair_pos = {p: i for i, p in enumerate(self.pairs)}
         self.allowed = [
             _allowed_regions(p in edge_pairs, q) for p in self.pairs
         ]
@@ -386,38 +333,20 @@ class _TopologySearch:
             range(len(self.pairs)), key=lambda i: (len(self.allowed[i]), i)
         )
         when_assigned = {pair_idx: t for t, pair_idx in enumerate(self.order)}
-        # each quartet is checked once, when its last pair gets assigned
-        structures = _quartet_structures(n, self.paths)
+        # each quartet is checked once, when its last pair gets assigned;
+        # it is stored as the pair positions of its three sums
         self.quartets_by_pair = [[] for _ in self.pairs]
-        for quad, split, groups in structures:
-            trigger = max(
-                (self.pair_pos[p] for g in groups for p in g),
-                key=when_assigned.__getitem__,
-            )
-            self.quartets_by_pair[trigger].append((split, groups))
+        for groupings, checks in _quartet_structures(n, self.paths):
+            sums = tuple((pair_pos[p1], pair_pos[p2]) for p1, p2 in groupings)
+            trigger = max((i for s in sums for i in s), key=when_assigned.__getitem__)
+            self.quartets_by_pair[trigger].append((sums, checks))
 
     def _quartets_ok(self, pair_idx) -> bool:
         assignment = self.assignment
-        for split, groups in self.quartets_by_pair[pair_idx]:
-            cats = []
-            ok = True
-            for g in groups:
-                c = (assignment[self.pair_pos[g[0]]], assignment[self.pair_pos[g[1]]])
-                if c[0] is None or c[1] is None:
-                    ok = False
-                    break
-                cats.append(c)
-            if not ok:
-                continue
-            if split is None:
-                if not (
-                    self.rules.feasible(None, cats[0], cats[1])
-                    and self.rules.feasible(None, cats[0], cats[2])
-                    and self.rules.feasible(None, cats[1], cats[2])
-                ):
-                    return False
-            else:
-                if not self.rules.feasible(cats[0], cats[1], cats[2]):
+        for sums, checks in self.quartets_by_pair[pair_idx]:
+            regions = [(assignment[i], assignment[j]) for i, j in sums]
+            for lo, hi in checks:
+                if not _can_be_le(regions[lo], regions[hi]):
                     return False
         return True
 
@@ -514,9 +443,8 @@ def recognize_glp(
         return None
 
     edge_pairs, topologies = _orbit_topologies(graph)
-    rules = _QuartetRules(q)
     for edges in topologies:
-        result = _TopologySearch(edges, n, edge_pairs, q, rules).search()
+        result = _TopologySearch(edges, n, edge_pairs, q).search()
         if result is not None:
             weights, thetas = result
             tree = _tree_from(edges, labels, weights)

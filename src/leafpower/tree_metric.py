@@ -81,7 +81,7 @@ class WeightedTree:
     edges is accepted as the degenerate one-leaf tree.
     """
 
-    __slots__ = ("_adj", "_vertices", "_edges", "_labels", "_label_of", "_matrix")
+    __slots__ = ("_adj", "_vertices", "_edges", "_labels", "_matrix")
 
     def __init__(self, edges: Iterable[tuple], leaf_labels: Mapping, vertices=None):
         adj: dict = {}
@@ -115,9 +115,7 @@ class WeightedTree:
             raise MalformedTreeError("edge set is not connected")
         if len(set(labels.values())) != len(labels):
             raise MalformedTreeError("leaf_labels is not injective")
-        for label, vertex in labels.items():
-            if vertex not in adj:
-                raise MalformedTreeError(f"label {label!r} points at unknown vertex")
+        for vertex in labels.values():
             deg = len(adj[vertex])
             if deg != 1 and len(adj) > 1:
                 raise MalformedTreeError(
@@ -127,7 +125,6 @@ class WeightedTree:
         self._vertices = tuple(sorted(adj, key=str))
         self._edges = tuple(sorted(canon_edges, key=lambda e: (str(e[0]), str(e[1]))))
         self._labels = labels
-        self._label_of = {v: k for k, v in labels.items()}
         self._matrix = None
 
     # -- basic accessors -------------------------------------------------

@@ -217,3 +217,16 @@ def test_rationals_as_strings(capsys, tmp_path):
     body = json.loads(path.read_text())
     for _, _, w in body["edges"]:
         assert isinstance(w, str)
+
+
+def test_empty_graph_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "edges": []}))
+    for args in (
+        ("recognize", "-q", "1"),
+        ("recognize", "-q", "2"),
+        ("leaf-rank",),
+        ("k-leaf-power", "-k", "2"),
+    ):
+        code, out, err = run(capsys, args[0], str(path), *args[1:])
+        assert code == 2 and out == "" and "at least 1 leaf" in err

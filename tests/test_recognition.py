@@ -23,13 +23,15 @@ from leafpower import (
     recognize_glp,
     verify_certificate,
 )
-from leafpower import glp_core, recognition
+from leafpower import exactlp, glp_core, recognition
 from leafpower.recognition import (
-    _QuartetRules,
     _TopologySearch,
+    _can_be_le,
     graph_automorphisms,
     iter_topologies,
 )
+
+from conftest import random_certificate
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 C4 = SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
@@ -171,13 +173,75 @@ class TestRecognize:
             edges_idx = {
                 tuple(sorted((index[u], index[v]))) for u, v in g.edge_list()
             }
-            rules = _QuartetRules(1)
             found = False
             for edges in iter_topologies(n):
-                if _TopologySearch(edges, n, edges_idx, 1, rules).search():
+                if _TopologySearch(edges, n, edges_idx, 1).search():
                     found = True
                     break
             assert not found
+
+    def test_atlas_graphs_are_pcgs(self):
+        # every graph on <= 7 vertices is a PCG (Calamoneri, Frascaria &
+        # Sinaimeri 2013), hence in GLP(2), and in GLP(3) by lifting;
+        # 2-6 vertices here, the 7-vertex sweep is too slow for this suite
+        nx = pytest.importorskip("networkx")
+        atlas = [g for g in nx.graph_atlas_g() if 2 <= g.number_of_nodes() <= 6]
+        assert len(atlas) == 207
+        for g in atlas:
+            graph = SimpleGraph(list(g.nodes), list(g.edges))
+            for q in (2, 3):
+                cert = recognize_glp(graph, q)
+                assert cert is not None and verify_certificate(graph, cert), (q, list(g.edges))
+
+
+def own_topology(cert):
+    """The certificate's tree as a topology over leaf indices, and the
+    index pairs of its induced graph's edges."""
+    labels = cert.tree.labels()
+    ids = {cert.tree.vertex_of(a): i for i, a in enumerate(labels)}
+    for v in cert.tree.vertices:
+        ids.setdefault(v, len(ids))
+    edges = tuple(sorted(tuple(sorted((ids[u], ids[v]))) for u, v, _ in cert.tree.edges))
+    graph = graph_from_certificate(cert)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    assert [index[a] for a in labels] == list(range(len(labels)))
+    pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
+    return edges, len(labels), pairs
+
+
+class TestQuartetPruning:
+    def test_own_topology_is_never_pruned(self):
+        # the search on the topology of a valid certificate must find an
+        # assignment: pruning only removes assignments no tree realizes
+        rng = random.Random(0xC0FFEE)
+        searched = 0
+        while searched < 200:
+            cert = random_certificate(rng, max_leaves=7, max_q=3)
+            if cert.order < 2 or len(cert.tree.labels()) < 4:
+                continue
+            searched += 1
+            edges, n, pairs = own_topology(cert)
+            assert _TopologySearch(edges, n, pairs, cert.order).search() is not None
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_can_be_le_matches_lp(self, q):
+        # variables: theta_1..theta_q, then d1..d4 with d1 + d2 <= d3 + d4
+        def region_rows(var, r):
+            rows = [({var: 1, r - 1: -1} if r else {var: 1}, exactlp.GE, 1)]
+            if r < q:
+                rows.append(({var: 1, r: -1}, exactlp.LE, 0))
+            return rows
+
+        ladder = [({0: 1}, exactlp.GE, 1)]
+        ladder += [({i + 1: 1, i: -1}, exactlp.GE, 1) for i in range(q - 1)]
+        region_pairs = list(itertools.combinations_with_replacement(range(q + 1), 2))
+        for lo, hi in itertools.product(region_pairs, repeat=2):
+            rows = list(ladder)
+            for k, r in enumerate(lo + hi):
+                rows += region_rows(q + k, r)
+            rows.append(({q: 1, q + 1: 1, q + 2: -1, q + 3: -1}, exactlp.LE, 0))
+            feasible = exactlp.find_feasible_point(q + 4, rows) is not None
+            assert _can_be_le(lo, hi) == feasible, (lo, hi)
 
 
 def unit_grid_leaf_powers(n, max_weight):
