@@ -17,7 +17,7 @@ from .errors import (
     MalformedTreeError,
 )
 from .rational import format_rational, parse_rational
-from .tree_metric import WeightedTree, _leaf_paths
+from .tree_metric import WeightedTree, _leaf_masks, _leaf_paths
 
 
 class SimpleGraph:
@@ -220,7 +220,8 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
         new_thr = ThresholdSequence(tuple(Fraction(k + 1) for k in range(cert.order)))
         return IntegerizeResult(GlpCertificate(tree, new_thr), True)
 
-    paths = _leaf_paths([(u, v) for u, v, _ in edges], [tree.vertex_of(a) for a in labels])
+    masks = _leaf_masks([(u, v) for u, v, _ in edges], [tree.vertex_of(a) for a in labels])
+    paths = _leaf_paths(masks, len(labels))
     matrix = tree.distance_matrix()
 
     # group leaf pairs by exact distance value

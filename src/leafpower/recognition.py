@@ -31,7 +31,7 @@ from .glp_core import (
     integerize_certificate,
     is_chordal,
 )
-from .tree_metric import WeightedTree, _leaf_paths, _walk
+from .tree_metric import WeightedTree, _leaf_masks, _leaf_paths
 
 TOPOLOGY_LEAF_CAP = 9  # n! leaf placements explode beyond this at desk scale
 
@@ -124,10 +124,8 @@ def iter_topologies(n: int) -> Iterator[tuple]:
 
 def enumerate_topologies(n: int, max_internal: int | None = None) -> TopologyCatalog:
     """Complete duplicate-free catalog; n is capped at desk scale."""
-    if not 1 <= n <= TOPOLOGY_LEAF_CAP:
-        raise CapacityError(
-            f"topology enumeration supports 1 <= n <= {TOPOLOGY_LEAF_CAP}, got {n}"
-        )
+    if n > TOPOLOGY_LEAF_CAP:
+        raise CapacityError(f"topology enumeration supports n <= {TOPOLOGY_LEAF_CAP}, got {n}")
     topologies = []
     for edges in iter_topologies(n):
         internals = {v for e in edges for v in e if v >= n}
@@ -177,39 +175,19 @@ def graph_automorphisms(graph: SimpleGraph) -> list[tuple[int, ...]]:
 
 
 def _split_key(edges: tuple, n: int) -> tuple:
-    """Nontrivial splits of a topology as canonical leaf bitmasks.
-
-    Each split is given by the side without leaf 0: the leaves below the
-    child end of an internal edge when the tree hangs from leaf 0.
-    """
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    below = {v: 1 << v if v < n else 0 for v in adj}
-    masks = []
-    for v, parent in reversed(list(_walk(adj, 0))):
-        below[parent] |= below[v]
-        if v >= n and parent >= n:  # internal edge <=> nontrivial split
-            masks.append(below[v])
-    return tuple(sorted(masks))
+    """Nontrivial splits of a topology as canonical leaf bitmasks: the
+    leaf masks of its internal edges, which follow the n pendant edges in
+    the sorted edge tuples of ``iter_topologies``."""
+    return tuple(sorted(_leaf_masks(edges, range(n))[n:]))
 
 
 def _permute_mask_tables(perms, n):
+    """For each permutation, the table mapping a leaf mask m to its image."""
     tables = []
-    size = 1 << n
     for perm in perms:
-        table = [0] * size
-        for m in range(size):
-            out = 0
-            mm = m
-            j = 0
-            while mm:
-                if mm & 1:
-                    out |= 1 << perm[j]
-                mm >>= 1
-                j += 1
-            table[m] = out
+        table = [0]
+        for j in range(n):  # extend the masks over bits 0..j-1 by bit j
+            table += [m | 1 << perm[j] for m in table]
         tables.append(table)
     return tables
 
@@ -258,8 +236,8 @@ def _orbit_topologies(graph: SimpleGraph):
 
 
 def _pair_paths(edges: tuple, n: int):
-    """For each leaf pair, the set of edge indices on its path."""
-    return _leaf_paths(edges, range(n))
+    """For each leaf pair, the edge indices on its path."""
+    return _leaf_paths(_leaf_masks(edges, range(n)), n)
 
 
 def _can_be_le(lo, hi) -> bool:
@@ -293,14 +271,21 @@ _SPLIT_CHECKS = ((1, 2), (2, 1), (0, 1), (0, 2))
 _STAR_CHECKS = tuple(itertools.permutations(range(3), 2))
 
 
-def _quartet_structures(n: int, paths):
+def _quartet_structures(n: int, masks):
     """Per 4-subset: its three pair groupings, the split grouping first
-    when there is one, and the checks that apply to their sums."""
+    when there is one, and the checks that apply to their sums.
+
+    ``masks`` are the topology's edge leaf masks (``_leaf_masks``).  ab|cd
+    is the split of quartet Q exactly when some edge parts a, b from c, d,
+    that is when some mask meets Q in {a, b} or in {c, d}.
+    """
     structures = []
     for a, b, c, d in itertools.combinations(range(n), 4):
+        quartet = 1 << a | 1 << b | 1 << c | 1 << d
+        cuts = {m & quartet for m in masks}
         groupings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
-        for idx, (p1, p2) in enumerate(groupings):
-            if set(paths[p1]).isdisjoint(paths[p2]):
+        for idx, ((u, v), (x, y)) in enumerate(groupings):
+            if (1 << u | 1 << v) in cuts or (1 << x | 1 << y) in cuts:
                 others = groupings[:idx] + groupings[idx + 1:]
                 structures.append(((groupings[idx],) + others, _SPLIT_CHECKS))
                 break
@@ -321,7 +306,8 @@ class _TopologySearch:
         self.edges = edges
         self.n = n
         self.q = q
-        self.paths = _pair_paths(edges, n)
+        masks = _leaf_masks(edges, range(n))
+        self.paths = _leaf_paths(masks, n)
         self.pairs = sorted(self.paths)
         pair_pos = {p: i for i, p in enumerate(self.pairs)}
         self.allowed = [
@@ -336,7 +322,7 @@ class _TopologySearch:
         # each quartet is checked once, when its last pair gets assigned;
         # it is stored as the pair positions of its three sums
         self.quartets_by_pair = [[] for _ in self.pairs]
-        for groupings, checks in _quartet_structures(n, self.paths):
+        for groupings, checks in _quartet_structures(n, masks):
             sums = tuple((pair_pos[p1], pair_pos[p2]) for p1, p2 in groupings)
             trigger = max((i for s in sums for i in s), key=when_assigned.__getitem__)
             self.quartets_by_pair[trigger].append((sums, checks))

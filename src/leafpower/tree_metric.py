@@ -8,6 +8,7 @@ used anywhere.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,25 +53,34 @@ def _distances(adj: Mapping, source) -> dict:
     return dist
 
 
-def _leaf_paths(edges, leaves) -> dict:
-    """Edge indices on the path between ``leaves[i]`` and ``leaves[j]``,
-    keyed by ``(i, j)`` for i < j in that order; ``edges`` lists the tree's
-    ``(u, v)`` pairs and an edge's index is its position there."""
-    adj: dict = {}
-    for k, (u, v) in enumerate(edges):
-        adj.setdefault(u, {})[v] = k
-        adj.setdefault(v, {})[u] = k
-    paths = {}
-    for i, a in enumerate(leaves):
-        parent = dict(_walk(adj, a))
-        for j in range(i + 1, len(leaves)):
-            path = []
-            v = leaves[j]
-            while v != a:
-                path.append(adj[v][parent[v]])
-                v = parent[v]
-            paths[(i, j)] = tuple(path)
-    return paths
+def _leaf_masks(edges, leaves) -> list:
+    """For each ``(u, v)`` of a tree's ``edges``, in order, the bitmask of
+    the leaves on its far side from ``leaves[0]``; bit i is ``leaves[i]``.
+
+    One walk from ``leaves[0]`` ORs each vertex's leaves into its parent's.
+    A child's leaves are a subset of its parent's, so the far side of an
+    edge is ``below[u] & below[v]``.
+    """
+    adj: dict = {leaves[0]: []}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    below = dict.fromkeys(adj, 0)
+    for i, leaf in enumerate(leaves):
+        below[leaf] = 1 << i
+    for v, parent in reversed(list(_walk(adj, leaves[0]))):
+        below[parent] |= below[v]
+    return [below[u] & below[v] for u, v in edges]
+
+
+def _leaf_paths(masks, n: int) -> dict:
+    """Edge indices, ascending, on the path between leaves i and j, keyed
+    by ``(i, j)`` for 0 <= i < j < n: edge k lies on that path exactly when
+    bits i and j of its leaf mask ``masks[k]`` differ."""
+    return {
+        (i, j): tuple(k for k, m in enumerate(masks) if (m >> i ^ m >> j) & 1)
+        for i, j in itertools.combinations(range(n), 2)
+    }
 
 
 class WeightedTree:
@@ -81,7 +91,7 @@ class WeightedTree:
     edges is accepted as the degenerate one-leaf tree.
     """
 
-    __slots__ = ("_adj", "_vertices", "_edges", "_labels", "_matrix")
+    __slots__ = ("_adj", "_vertices", "_edges", "_labels", "_matrix", "_dist_from")
 
     def __init__(self, edges: Iterable[tuple], leaf_labels: Mapping, vertices=None):
         adj: dict = {}
@@ -126,6 +136,7 @@ class WeightedTree:
         self._edges = tuple(sorted(canon_edges, key=lambda e: (str(e[0]), str(e[1]))))
         self._labels = labels
         self._matrix = None
+        self._dist_from: dict = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -167,9 +178,10 @@ class WeightedTree:
             raise LabelNotFoundError(u)
         if v not in self._adj:
             raise LabelNotFoundError(v)
-        if u == v:
-            return Fraction(0)
-        return _distances(self._adj, u)[v]
+        dist = self._dist_from.get(u)
+        if dist is None:  # one walk per source, kept for later queries
+            dist = self._dist_from[u] = _distances(self._adj, u)
+        return dist[v]
 
     def distance(self, a, b) -> Fraction:
         """Exact distance between two labeled leaves."""

@@ -25,11 +25,16 @@ from leafpower import (
 )
 from leafpower import exactlp, glp_core, recognition
 from leafpower.recognition import (
+    _STAR_CHECKS,
     _TopologySearch,
     _can_be_le,
+    _permute_mask_tables,
+    _quartet_structures,
+    _split_key,
     graph_automorphisms,
     iter_topologies,
 )
+from leafpower.tree_metric import _leaf_masks
 
 from conftest import random_certificate
 
@@ -111,6 +116,40 @@ class TestTopologies:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             enumerate_topologies(15)
+
+    def test_no_leaves_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            enumerate_topologies(0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_split_key_matches_oracle(self, n):
+        for edges in iter_topologies(n):
+            key = _split_key(edges, n)
+            sides = frozenset(frozenset(i for i in range(n) if m >> i & 1) for m in key)
+            assert len(sides) == len(key)
+            assert sides == split_key(edges, n)
+
+    def test_quartet_shapes_match_oracle(self):
+        # a quartet is a star exactly when no split cuts it 2|2; otherwise
+        # its split grouping comes first
+        n = 7
+        quartets = stars = 0
+        for edges in iter_topologies(n):
+            splits = split_key(edges, n)
+            structures = _quartet_structures(n, _leaf_masks(edges, range(n)))
+            for quartet, (groupings, checks) in zip(
+                itertools.combinations(range(n), 4), structures
+            ):
+                cuts = [side & set(quartet) for side in splits]
+                cuts = [cut for cut in cuts if len(cut) == 2]
+                quartets += 1
+                if cuts:
+                    assert checks is not _STAR_CHECKS
+                    assert set(groupings[0][0]) in cuts or set(groupings[0][1]) in cuts
+                else:
+                    assert checks is _STAR_CHECKS
+                    stars += 1
+        assert (stars, quartets) == (13580, 96320)
 
 
 class TestRecognize:
@@ -367,6 +406,16 @@ class TestLeafRank:
 class TestAutomorphisms:
     def test_c4_group_order(self):
         assert len(graph_automorphisms(C4)) == 8  # dihedral group of the square
+
+    def test_mask_tables_match_bitwise_reference(self):
+        n = 5
+        perms = graph_automorphisms(SimpleGraph(range(n)))
+        assert len(perms) == 120
+        reference = [
+            [sum(1 << perm[j] for j in range(n) if m >> j & 1) for m in range(1 << n)]
+            for perm in perms
+        ]
+        assert _permute_mask_tables(perms, n) == reference
 
     def test_edgeless(self):
         g = SimpleGraph("abc")

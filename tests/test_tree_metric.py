@@ -23,6 +23,7 @@ from leafpower import (
     four_point_classify,
     restrict_to_leaves,
 )
+from leafpower import tree_metric
 
 from conftest import random_weighted_tree
 
@@ -86,6 +87,24 @@ class TestWeightedTree:
                 oracle = dijkstra_oracle(t, t.vertex_of(src))
                 for dst in t.labels():
                     assert t.distance(src, dst) == oracle[t.vertex_of(dst)]
+
+    def test_vertex_distance_walks_once_per_source(self, monkeypatch):
+        calls = []
+        distances = tree_metric._distances
+
+        def counting(adj, source):
+            calls.append(source)
+            return distances(adj, source)
+
+        monkeypatch.setattr(tree_metric, "_distances", counting)
+        t = random_weighted_tree(random.Random(5), 8)
+        vertices = t.vertices
+        sources = vertices[:2]
+        for k in range(100):
+            u = sources[k % 2]
+            v = vertices[k % len(vertices)]
+            assert t.vertex_distance(u, v) == dijkstra_oracle(t, u)[v]
+        assert sorted(calls) == sorted(sources)
 
     def test_diameter_star(self):
         t = WeightedTree(
