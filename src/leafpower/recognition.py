@@ -12,10 +12,19 @@ topology every leaf pair gets a threshold-region assignment consistent
 with the parity edge rule, pruned by an exact four-point-condition
 consistency check on quartets, and surviving assignments are decided by a
 margin-1 exact LP over edge weights and thresholds.
+
+At q = 1, and for k-leaf powers, the graph fixes every pair's region, so
+the quartet check depends only on the quartet's shape.  A per-graph table
+of failing shapes then cuts the leaf insertion itself: once a quartet's
+largest leaf is placed its shape never changes, so a failing quartet drops
+every topology grown from that point (``_forced_quartet_cut``).
+``_GraphSearch`` holds what the searches on one graph share: its edges,
+the orbit tables of its automorphisms and that table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +40,7 @@ from .glp_core import (
     integerize_certificate,
     is_chordal,
 )
-from .tree_metric import WeightedTree, _leaf_masks, _leaf_paths
+from .tree_metric import WeightedTree, _leaf_masks, _leaf_paths, _walk
 
 TOPOLOGY_LEAF_CAP = 9  # n! leaf placements explode beyond this at desk scale
 
@@ -67,13 +76,20 @@ class TopologyCatalog:
     topologies: tuple
 
 
-def iter_topologies(n: int) -> Iterator[tuple]:
+def iter_topologies(n: int, _prefix_ok=None) -> Iterator[tuple]:
     """Yield every series-reduced topology on leaves 0..n-1 exactly once.
 
     Generation is by leaf insertion: leaf k is added to each topology on
     leaves 0..k-1 either by subdividing an edge or by attaching to an
     existing internal vertex.  Removing the highest leaf inverts the step
-    uniquely, so no duplicates are produced.
+    uniquely, so no duplicates are produced, and the topology induced on
+    leaves 0..k is the same in every topology grown from it.
+
+    ``_prefix_ok(k, adj)``, when given, is called once leaf k is placed,
+    with the adjacency of the partial topology on leaves 0..k (a vertex
+    maps to the set of its neighbours; internal vertices are numbered from
+    n up; read only).  When it returns False, none of the topologies grown
+    from that partial topology is yielded.
     """
     if n < 1:
         raise ValueError("need at least 1 leaf")
@@ -89,6 +105,8 @@ def iter_topologies(n: int) -> Iterator[tuple]:
         )
 
     def rec(k):
+        if _prefix_ok is not None and not _prefix_ok(k - 1, adj):
+            return
         if k == n:
             yield edges_snapshot()
             return
@@ -206,31 +224,6 @@ def _is_orbit_representative(key, tables, full):
     return True
 
 
-def _orbit_topologies(graph: SimpleGraph):
-    """The graph's edges as leaf-index pairs, and an iterator over the
-    topologies of ``iter_topologies`` on its vertices, one per orbit.
-
-    An automorphism of the graph maps a topology that works onto one that
-    works, so of each orbit only the topology with the least split key is
-    yielded.
-    """
-    n = len(graph)
-    if n > TOPOLOGY_LEAF_CAP:
-        raise CapacityError(f"{n} vertices exceeds the topology cap of {TOPOLOGY_LEAF_CAP}")
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    edge_pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
-    autos = [p for p in graph_automorphisms(graph) if p != tuple(range(n))]
-    tables = _permute_mask_tables(autos, n)
-    full = (1 << n) - 1
-
-    def representatives():
-        for edges in iter_topologies(n):
-            if not tables or _is_orbit_representative(_split_key(edges, n), tables, full):
-                yield edges
-
-    return edge_pairs, representatives()
-
-
 # ---------------------------------------------------------------------------
 # region assignments, quartet pruning and the feasibility LP
 
@@ -271,32 +264,121 @@ _SPLIT_CHECKS = ((1, 2), (2, 1), (0, 1), (0, 2))
 _STAR_CHECKS = tuple(itertools.permutations(range(3), 2))
 
 
-def _quartet_structures(n: int, masks):
-    """Per 4-subset: its three pair groupings, the split grouping first
-    when there is one, and the checks that apply to their sums.
+def _quartet_shape(quartet, masks) -> int:
+    """0, 1 or 2 when a topology splits the quartet a < b < c < d as ab|cd,
+    ac|bd or ad|bc, and 3 when the quartet is a star.
 
-    ``masks`` are the topology's edge leaf masks (``_leaf_masks``).  ab|cd
-    is the split of quartet Q exactly when some edge parts a, b from c, d,
-    that is when some mask meets Q in {a, b} or in {c, d}.
+    ``masks`` are the leaf masks of the far sides of the topology's edges,
+    seen from any one vertex.  ab|cd is the split exactly when some edge
+    parts a, b from c, d, that is when some mask meets the quartet in
+    {a, b} or in {c, d}.
     """
-    structures = []
-    for a, b, c, d in itertools.combinations(range(n), 4):
-        quartet = 1 << a | 1 << b | 1 << c | 1 << d
-        cuts = {m & quartet for m in masks}
-        groupings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
-        for idx, ((u, v), (x, y)) in enumerate(groupings):
-            if (1 << u | 1 << v) in cuts or (1 << x | 1 << y) in cuts:
-                others = groupings[:idx] + groupings[idx + 1:]
-                structures.append(((groupings[idx],) + others, _SPLIT_CHECKS))
-                break
-        else:
-            structures.append((groupings, _STAR_CHECKS))
-    return structures
+    a = quartet[0]
+    leaves = 1 << a | 1 << quartet[1] | 1 << quartet[2] | 1 << quartet[3]
+    cuts = {m & leaves for m in masks}
+    for shape, v in enumerate(quartet[1:]):
+        pair = 1 << a | 1 << v
+        if pair in cuts or leaves ^ pair in cuts:
+            return shape
+    return 3
+
+
+def _groupings_and_checks(quartet, shape):
+    """The quartet's three pair groupings, the split grouping first when
+    the shape is a split, and the checks that apply to their sums."""
+    a, b, c, d = quartet
+    groupings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+    if shape == 3:
+        return groupings, _STAR_CHECKS
+    return (groupings[shape],) + groupings[:shape] + groupings[shape + 1:], _SPLIT_CHECKS
+
+
+def _quartet_structures(n: int, masks):
+    """Per 4-subset: its groupings and checks (``_groupings_and_checks``)
+    in the topology whose edge leaf masks are ``masks`` (``_leaf_masks``)."""
+    return [
+        _groupings_and_checks(quartet, _quartet_shape(quartet, masks))
+        for quartet in itertools.combinations(range(n), 4)
+    ]
 
 
 def _allowed_regions(is_edge: bool, q: int) -> tuple:
     # region r => the pair is below q-r thresholds; edge iff that count is odd
     return tuple(r for r in range(q + 1) if ((q - r) % 2 == 1) == is_edge)
+
+
+def _forced_quartet_cut(n: int, edge_pairs):
+    """The prefix test of ``iter_topologies`` for q = 1 and k-leaf powers,
+    or None when no quartet can fail.
+
+    At q = 1 the graph fixes every pair's region: an edge is region 0 and a
+    non-edge region 1 (``_allowed_regions``).  The checks ``_TopologySearch``
+    makes on a quartet then depend only on the quartet's shape in the
+    topology, one of its three splits or a star.  So one table per graph
+    lists, for each 4-subset, the shapes that fail; once leaf k is placed,
+    the test looks up the quartets whose largest leaf is k and that have a
+    failing shape.
+
+    Soundness.  Let a quartet with largest leaf k fail in the partial
+    topology on leaves 0..k.
+
+    - Leaf insertion never changes the topology induced on the leaves
+      already placed, so the quartet has the same shape, and fails, in
+      every topology grown from the partial one.
+    - On such a topology the one region assignment fails that check, so
+      ``_TopologySearch(edges, n, edge_pairs, 1).search()`` is None, without
+      an LP.  The checks are necessary conditions: by the four-point
+      condition (Buneman 1974), in a positively weighted tree the two cross
+      sums of a split quartet are equal and at least its split sum, and
+      the three sums of a star are equal; ``_can_be_le`` says exactly when
+      two sums in given regions can be so ordered for some thresholds.  So
+      no weights and threshold on that topology induce the graph.
+    - A k-leaf root is a GLP(1) certificate with theta_1 = k, so no
+      topology that is cut carries a k-leaf root either.
+
+    A topology whose quartets all pass is never cut, since each test looks
+    only at quartets of placed leaves.  So the topologies that get through
+    are exactly those whose fixed assignment passes every quartet check.
+
+    Orbits.  An automorphism of the graph maps each pair to a pair in the
+    same region, and each quartet and its shape in a topology to the image
+    quartet and its shape in the image topology, so a topology passes every
+    check exactly when its images do.  The orbit filter keeps the topology
+    with the least split key over the whole orbit, so the same
+    representatives come through in the same order, less those the search
+    rejects anyway: the first topology that succeeds, its certificate and
+    the LP calls are those of the search without the cut.
+    """
+    region = {
+        pair: _allowed_regions(pair in edge_pairs, 1)[0]
+        for pair in itertools.combinations(range(n), 2)
+    }
+    failing = [[] for _ in range(n)]  # by largest leaf: (quartet, failing shapes)
+    for quartet in itertools.combinations(range(n), 4):
+        bad = set()
+        for shape in range(4):
+            groupings, checks = _groupings_and_checks(quartet, shape)
+            sums = [(region[p1], region[p2]) for p1, p2 in groupings]
+            if not all(_can_be_le(sums[lo], sums[hi]) for lo, hi in checks):
+                bad.add(shape)
+        if bad:
+            failing[quartet[3]].append((quartet, bad))
+    if not any(failing):
+        return None
+
+    def prefix_ok(k, adj):
+        if not failing[k]:
+            return True
+        # far-side leaf masks of the partial topology's edges, seen from k
+        walk = list(_walk(adj, k))
+        below = {v: 1 << v if v < n else 0 for v, _ in walk}
+        for v, parent in reversed(walk):
+            if parent != k:
+                below[parent] |= below[v]
+        masks = below.values()
+        return all(_quartet_shape(quartet, masks) not in bad for quartet, bad in failing[k])
+
+    return prefix_ok
 
 
 class _TopologySearch:
@@ -405,6 +487,80 @@ def _tree_from(edges, labels, weights) -> WeightedTree:
     )
 
 
+class _GraphSearch:
+    """The exhaustive searches on one graph.  They share what depends only
+    on the graph: its edges as leaf-index pairs, the mask tables of its
+    automorphisms and, once a q = 1 or k-leaf search asks for it, the
+    forced-quartet cut."""
+
+    def __init__(self, graph: SimpleGraph):
+        n = len(graph)
+        if n > TOPOLOGY_LEAF_CAP:
+            raise CapacityError(f"{n} vertices exceeds the topology cap of {TOPOLOGY_LEAF_CAP}")
+        self.graph = graph
+        self.labels = list(graph.vertices)
+        self.n = n
+        index = {v: i for i, v in enumerate(self.labels)}
+        self.edge_pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
+        autos = [p for p in graph_automorphisms(graph) if p != tuple(range(n))]
+        self.tables = _permute_mask_tables(autos, n)
+
+    @functools.cached_property
+    def forced_cut(self):
+        return _forced_quartet_cut(self.n, self.edge_pairs)
+
+    def topologies(self, q1: bool):
+        """The topologies of ``iter_topologies`` on the graph's vertices, one
+        per orbit, cut by ``_forced_quartet_cut`` when ``q1``.
+
+        An automorphism of the graph maps a topology that works onto one
+        that works, so of each orbit only the topology with the least split
+        key is yielded.
+        """
+        n, tables = self.n, self.tables
+        full = (1 << n) - 1
+        for edges in iter_topologies(n, self.forced_cut if q1 else None):
+            if not tables or _is_orbit_representative(_split_key(edges, n), tables, full):
+                yield edges
+
+    def glp(self, q: int) -> GlpCertificate | None:
+        for edges in self.topologies(q == 1):
+            result = _TopologySearch(edges, self.n, self.edge_pairs, q).search()
+            if result is not None:
+                weights, thetas = result
+                tree = _tree_from(edges, self.labels, weights)
+                cert = GlpCertificate(tree, ThresholdSequence(tuple(thetas)))
+                if graph_from_certificate(cert) != self.graph:
+                    raise InternalError("recognize_glp: the certificate induces another graph")
+                return integerize_certificate(cert)
+        return None
+
+    def k_leaf_root(self, k: int) -> WeightedTree | None:
+        for edges in self.topologies(True):
+            m = len(edges)
+            constraints = [({e: 1}, exactlp.GE, 1) for e in range(m)]
+            ok_shape = True
+            for pair, path in _pair_paths(edges, self.n).items():
+                coeffs = {e: 1 for e in path}
+                if pair in self.edge_pairs:
+                    if len(path) > k:  # every edge weighs >= 1
+                        ok_shape = False
+                        break
+                    constraints.append((coeffs, exactlp.LE, k))
+                else:
+                    constraints.append((coeffs, exactlp.GE, k + 1))
+            if not ok_shape:
+                continue
+            solution = _ilp_feasible(m, constraints, k + 1)
+            if solution is not None:
+                tree = _tree_from(edges, self.labels, [int(v) for v in solution])
+                cert = GlpCertificate(tree, ThresholdSequence((Fraction(k),)))
+                if graph_from_certificate(cert) != self.graph:
+                    raise InternalError("is_k_leaf_power: the k-leaf root induces another graph")
+                return tree
+        return None
+
+
 def recognize_glp(
     graph: SimpleGraph, q: int, limits: RecognitionLimits | None = None
 ) -> GlpCertificate | None:
@@ -421,24 +577,12 @@ def recognize_glp(
     cap = limits.cap_for(q)
     if n > cap:
         raise CapacityError(f"{n} vertices exceeds the q={q} cap of {cap}")
-    labels = list(graph.vertices)
     if n == 1:
         thetas = tuple(Fraction(k + 1) for k in range(q))
-        return GlpCertificate(_tree_from((), labels, ()), ThresholdSequence(thetas))
+        return GlpCertificate(_tree_from((), list(graph.vertices), ()), ThresholdSequence(thetas))
     if q == 1 and not is_chordal(graph):
         return None
-
-    edge_pairs, topologies = _orbit_topologies(graph)
-    for edges in topologies:
-        result = _TopologySearch(edges, n, edge_pairs, q).search()
-        if result is not None:
-            weights, thetas = result
-            tree = _tree_from(edges, labels, weights)
-            cert = GlpCertificate(tree, ThresholdSequence(tuple(thetas)))
-            if graph_from_certificate(cert) != graph:
-                raise InternalError("recognize_glp: the certificate induces another graph")
-            return integerize_certificate(cert)
-    return None
+    return _GraphSearch(graph).glp(q)
 
 
 # ---------------------------------------------------------------------------
@@ -482,37 +626,11 @@ def is_k_leaf_power(
     n = len(graph)
     if n > limits.max_leaves_q1:
         raise CapacityError(f"{n} vertices exceeds the cap of {limits.max_leaves_q1}")
-    labels = list(graph.vertices)
     if n == 1:
-        return _tree_from((), labels, ())
+        return _tree_from((), list(graph.vertices), ())
     if not is_chordal(graph):
         return None
-
-    edge_pairs, topologies = _orbit_topologies(graph)
-    for edges in topologies:
-        m = len(edges)
-        paths = _pair_paths(edges, n)
-        constraints = [({e: 1}, exactlp.GE, 1) for e in range(m)]
-        ok_shape = True
-        for pair, path in paths.items():
-            coeffs = {e: 1 for e in path}
-            if pair in edge_pairs:
-                if len(path) > k:  # every edge weighs >= 1
-                    ok_shape = False
-                    break
-                constraints.append((coeffs, exactlp.LE, k))
-            else:
-                constraints.append((coeffs, exactlp.GE, k + 1))
-        if not ok_shape:
-            continue
-        solution = _ilp_feasible(m, constraints, k + 1)
-        if solution is not None:
-            tree = _tree_from(edges, labels, [int(v) for v in solution])
-            cert = GlpCertificate(tree, ThresholdSequence((Fraction(k),)))
-            if graph_from_certificate(cert) != graph:
-                raise InternalError("is_k_leaf_power: the k-leaf root induces another graph")
-            return tree
-    return None
+    return _GraphSearch(graph).k_leaf_root(k)
 
 
 def leaf_rank(
@@ -522,21 +640,28 @@ def leaf_rank(
 
     None means the graph is not a leaf power at all (decided by the
     exhaustive GLP(1) search).  An integerized certificate bounds the
-    search from above; the configured ceiling guards the loop.
+    search from above; the configured ceiling guards the loop.  The GLP(1)
+    search and every k share one ``_GraphSearch``.
     """
     limits = limits or DEFAULT_LIMITS
-    if len(graph) == 1:
+    n = len(graph)
+    if n == 1:
         return 1
-    cert = recognize_glp(graph, 1, limits)
+    if n > limits.max_leaves_q1:
+        raise CapacityError(f"{n} vertices exceeds the q=1 cap of {limits.max_leaves_q1}")
+    if not is_chordal(graph):
+        return None
+    search = _GraphSearch(graph)
+    cert = search.glp(1)
     if cert is None:
         return None
-    theta = cert.thresholds.thresholds[0]  # recognize_glp integerizes
+    theta = cert.thresholds.thresholds[0]  # glp integerizes
     if theta.denominator != 1:
         raise InternalError("leaf_rank: the integerized threshold is not an integer")
     upper = int(theta)
     ceiling = min(upper, limits.leaf_rank_ceiling)
     for k in range(1, ceiling + 1):
-        if is_k_leaf_power(graph, k, limits) is not None:
+        if search.k_leaf_root(k) is not None:
             return k
     if upper > limits.leaf_rank_ceiling:
         raise CeilingExceededError(

@@ -66,6 +66,31 @@ def random_certificate(rng: random.Random, max_leaves=8, max_q=3) -> GlpCertific
     return GlpCertificate(tree, ThresholdSequence(tuple(sorted(thetas))))
 
 
+def is_k_leaf_power_by_literature(g, k) -> bool:
+    """Is the networkx graph ``g`` a k-leaf power, for k = 2 or 3, by the
+    published characterizations?
+
+    2-leaf powers are exactly the disjoint unions of cliques; 3-leaf powers
+    are exactly the chordal graphs with no induced bull, dart or gem (Dom,
+    Guo, Hueffner & Niedermeier 2006; Brandstaedt & Le 2006).
+    """
+    import networkx as nx
+
+    if k == 2:
+        return all(
+            g.subgraph(c).number_of_edges() == len(c) * (len(c) - 1) // 2
+            for c in nx.connected_components(g)
+        )
+    assert k == 3
+    bull = nx.Graph([(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])  # triangle, two pendants
+    dart = nx.Graph([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (0, 4)])  # diamond, pendant at 0
+    gem = nx.Graph([(1, 2), (2, 3), (3, 4), (0, 1), (0, 2), (0, 3), (0, 4)])  # P4 + apex
+    induced = nx.algorithms.isomorphism.GraphMatcher
+    return nx.is_chordal(g) and not any(
+        induced(g, h).subgraph_is_isomorphic() for h in (bull, dart, gem)
+    )
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

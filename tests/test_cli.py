@@ -55,6 +55,14 @@ def test_verify_pass_and_fail(capsys, tmp_path, c4_path):
     body = json.loads(out)
     assert body["status"] == "FAIL" and "edge" in body["discrepancy"]
 
+    c5 = SimpleGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+    c5_path = tmp_path / "c5.json"
+    c5_path.write_text(c5.to_json())
+    code, out, _ = run(capsys, "verify", str(c5_path), str(cert_path))
+    assert code == 1
+    body = json.loads(out)
+    assert body["status"] == "FAIL" and "missing ['e']" in body["discrepancy"]
+
 
 def test_leaf_rank(capsys, tmp_path):
     p3 = SimpleGraph("abc", [("a", "b"), ("b", "c")])

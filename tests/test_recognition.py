@@ -28,6 +28,7 @@ from leafpower.recognition import (
     _STAR_CHECKS,
     _TopologySearch,
     _can_be_le,
+    _forced_quartet_cut,
     _permute_mask_tables,
     _quartet_structures,
     _split_key,
@@ -36,10 +37,16 @@ from leafpower.recognition import (
 )
 from leafpower.tree_metric import _leaf_masks
 
-from conftest import random_certificate
+from conftest import is_k_leaf_power_by_literature, random_certificate
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 C4 = SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+P8 = SimpleGraph("abcdefgh", list(zip("abcdefg", "bcdefgh")))
+# chordal, with an induced 3-sun (triangle a, c, d; b, e, g on its sides),
+# so not a leaf power
+SUN7 = SimpleGraph(
+    "abcdefg", [tuple(e) for e in ("ab", "ac", "ad", "ae", "bd", "cd", "ce", "cg", "dg", "fg")]
+)
 
 # number of series-reduced trees on n labeled leaves (total partitions
 # of an (n-1)-set; standard combinatorial sequence)
@@ -361,6 +368,19 @@ class TestKLeafPower:
         for k in range(1, 6):
             assert is_k_leaf_power(C4, k) is None
 
+    def test_atlas_k2_k3_match_literature(self):
+        # 2-leaf powers are the disjoint unions of cliques; 3-leaf powers the
+        # chordal graphs with no induced bull, dart or gem (Dom, Guo, Hueffner
+        # & Niedermeier 2006; Brandstaedt & Le 2006)
+        nx = pytest.importorskip("networkx")
+        atlas = [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 6]
+        assert len(atlas) == 208
+        for g in atlas:
+            graph = SimpleGraph(list(g.nodes), list(g.edges))
+            for k in (2, 3):
+                expected = is_k_leaf_power_by_literature(g, k)
+                assert (is_k_leaf_power(graph, k) is not None) == expected, (k, list(g.edges))
+
     def test_padding_sampled(self, rng):
         done = 0
         while done < 12:
@@ -384,6 +404,23 @@ class TestLeafRank:
 
     def test_non_leaf_power(self):
         assert leaf_rank(C4) is None
+
+    def test_p8(self):
+        assert leaf_rank(P8) == 3
+
+    def test_scans_automorphisms_once(self, monkeypatch):
+        # the GLP(1) search and every k share one automorphism scan
+        calls = []
+        original = recognition.graph_automorphisms
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(recognition, "graph_automorphisms", counting)
+        p5 = SimpleGraph("abcde", list(zip("abcd", "bcde")))
+        assert leaf_rank(p5) == 3
+        assert len(calls) == 1
 
     def test_rank_is_minimal(self, rng):
         for _ in range(8):
@@ -475,23 +512,84 @@ class TestSelfChecks:
         assert out.strip() == "InternalError"
 
 
+def count_work(monkeypatch):
+    """Counters of the topologies ``iter_topologies`` yields and of the
+    ``_TopologySearch`` objects built, while the test runs."""
+    counts = {"topologies": 0, "searches": 0}
+    topologies = recognition.iter_topologies
+
+    def counting_topologies(*args):
+        for edges in topologies(*args):
+            counts["topologies"] += 1
+            yield edges
+
+    class CountingSearch(recognition._TopologySearch):
+        def __init__(self, *args):
+            counts["searches"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(recognition, "iter_topologies", counting_topologies)
+    monkeypatch.setattr(recognition, "_TopologySearch", CountingSearch)
+    return counts
+
+
 class TestOrbitFilter:
     def test_non_glp_family_2_search_count(self, monkeypatch):
         """Deterministic work counts of the orbit-filtered topology loop."""
-        counts = {"topologies": 0, "searches": 0}
-        topologies = recognition.iter_topologies
-
-        def counting_topologies(n):
-            for edges in topologies(n):
-                counts["topologies"] += 1
-                yield edges
-
-        class CountingSearch(recognition._TopologySearch):
-            def __init__(self, *args):
-                counts["searches"] += 1
-                super().__init__(*args)
-
-        monkeypatch.setattr(recognition, "iter_topologies", counting_topologies)
-        monkeypatch.setattr(recognition, "_TopologySearch", CountingSearch)
+        counts = count_work(monkeypatch)
         assert recognize_glp(non_glp_family(2), 2) is None
         assert counts == {"topologies": 39208, "searches": 688}
+
+    def test_p8_q1_search_count(self, monkeypatch):
+        # the forced-quartet cut leaves one topology, which succeeds;
+        # without it every one of the 19,864 orbit representatives was built
+        counts = count_work(monkeypatch)
+        assert recognize_glp(P8, 1) is not None
+        assert counts["searches"] == 1
+
+    def test_sun7_q1_search_count(self, monkeypatch):
+        counts = count_work(monkeypatch)  # 1,436 searches without the cut
+        assert recognize_glp(SUN7, 1) is None
+        assert counts["searches"] == 1
+
+
+def index_pairs(graph):
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    return {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
+
+
+def passes_every_quartet(edges, n, pairs):
+    """Does the one q = 1 region assignment of this topology pass all of
+    the search's quartet checks?"""
+    search = _TopologySearch(edges, n, pairs, 1)
+    search.assignment = [allowed[0] for allowed in search.allowed]
+    return all(search._quartets_ok(i) for i in range(len(search.pairs)))
+
+
+class TestForcedQuartetCut:
+    def test_cut_matches_the_quartet_checks(self):
+        # seeded graphs on 5-7 vertices: every topology the cut drops is one
+        # the q = 1 search rejects, and the kept ones are exactly those whose
+        # fixed assignment passes every quartet check
+        rng = random.Random(6)
+        graphs = [SUN7, SimpleGraph("abcdef", list(zip("abcde", "bcdef")))]
+        for n in (5, 6, 6, 7):
+            vs = range(n)
+            graphs.append(SimpleGraph(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < 0.5]))
+        dropped_total = 0
+        for graph in graphs:
+            n, pairs = len(graph), index_pairs(graph)
+            prefix_ok = _forced_quartet_cut(n, pairs)
+            kept = set(iter_topologies(n, prefix_ok))
+            passing = set()
+            for edges in iter_topologies(n):
+                if edges not in kept:
+                    dropped_total += 1
+                    assert _TopologySearch(edges, n, pairs, 1).search() is None
+                if passes_every_quartet(edges, n, pairs):
+                    passing.add(edges)
+            assert kept == passing
+        assert dropped_total > 0
+
+    def test_graph_with_no_failing_quartet_gets_no_cut(self):
+        assert _forced_quartet_cut(5, set(itertools.combinations(range(5), 2))) is None

@@ -6,7 +6,9 @@ run; ``pytest -m slow`` runs them.
 
 import pytest
 
-from leafpower import SimpleGraph, recognize_glp, verify_certificate
+from leafpower import SimpleGraph, is_k_leaf_power, recognize_glp, verify_certificate
+
+from conftest import is_k_leaf_power_by_literature
 
 nx = pytest.importorskip("networkx")
 
@@ -41,3 +43,13 @@ def test_7_vertex_leaf_powers_are_the_strongly_chordal_graphs():
         cert = recognize_glp(graph, 1)
         assert (cert is not None) == (nx.is_chordal(g) and sun_free), list(g.edges)
         assert cert is None or verify_certificate(graph, cert), list(g.edges)
+
+
+def test_7_vertex_2_and_3_leaf_powers_match_literature():
+    # 2-leaf powers are the disjoint unions of cliques, 3-leaf powers the
+    # chordal graphs with no induced bull, dart or gem
+    for g in atlas7():
+        graph = SimpleGraph(list(g.nodes), list(g.edges))
+        for k in (2, 3):
+            expected = is_k_leaf_power_by_literature(g, k)
+            assert (is_k_leaf_power(graph, k) is not None) == expected, (k, list(g.edges))
