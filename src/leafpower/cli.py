@@ -154,11 +154,18 @@ def _cmd_verify(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _limits(args) -> RecognitionLimits:
@@ -390,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("fuzz")
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--trees", type=int, default=100)
-    sub.add_argument("--leaves", type=int, default=8)
+    sub.add_argument("--trees", type=_positive_int, default=100)
+    sub.add_argument("--leaves", type=_int_at_least(4), default=8)
     sub.set_defaults(fn=_cmd_fuzz)
     return parser
 

@@ -40,7 +40,7 @@ from .glp_core import (
     integerize_certificate,
     is_chordal,
 )
-from .tree_metric import WeightedTree, _leaf_masks, _leaf_paths, _walk
+from .tree_metric import WeightedTree, _leaf_paths
 
 TOPOLOGY_LEAF_CAP = 9  # n! leaf placements explode beyond this at desk scale
 
@@ -67,9 +67,9 @@ DEFAULT_LIMITS = RecognitionLimits()
 class TopologyCatalog:
     """All series-reduced unrooted topologies on n labeled leaves.
 
-    Topologies are edge tuples over integer vertex ids: leaves are
-    0..n-1, internal vertices are n, n+1, ...  No two entries are equal
-    under leaf-label-preserving isomorphism.
+    Topologies are sorted tuples of ``(u, v)`` edges, u < v, over integer
+    vertex ids: leaves are 0..n-1, internal vertices are n, n+1, ...  No
+    two entries are equal under leaf-label-preserving isomorphism.
     """
 
     n_leaves: int
@@ -77,80 +77,85 @@ class TopologyCatalog:
 
 
 def iter_topologies(n: int, _prefix_ok=None) -> Iterator[tuple]:
-    """Yield every series-reduced topology on leaves 0..n-1 exactly once.
+    """Yield every series-reduced topology on leaves 0..n-1 exactly once,
+    as the tuple of its edge leaf masks: bit i of an edge's mask is set
+    when leaf i is on its far side from leaf 0.  ``masks[0]`` is leaf 0's
+    pendant edge, and no two masks are equal.
 
-    Generation is by leaf insertion: leaf k is added to each topology on
-    leaves 0..k-1 either by subdividing an edge or by attaching to an
-    existing internal vertex.  Removing the highest leaf inverts the step
+    Generation is by leaf insertion: leaf k either subdivides an edge e or
+    attaches to the internal vertex at the far end of e (when e's mask has
+    two bits or more).  Either way bit k goes into every mask that contains
+    e's mask, the edges from leaf 0 through e; then the mask ``1 << k`` of
+    the new pendant edge is appended, and e's old mask, of the lower half
+    of e, when e is subdivided.  Removing the highest leaf inverts the step
     uniquely, so no duplicates are produced, and the topology induced on
     leaves 0..k is the same in every topology grown from it.
 
-    ``_prefix_ok(k, adj)``, when given, is called once leaf k is placed,
-    with the adjacency of the partial topology on leaves 0..k (a vertex
-    maps to the set of its neighbours; internal vertices are numbered from
-    n up; read only).  When it returns False, none of the topologies grown
-    from that partial topology is yielded.
+    ``_prefix_ok(k, masks)``, when given, is called once leaf k is placed,
+    with the masks of the partial topology on leaves 0..k (read only).
+    When it returns False, none of the topologies grown from that partial
+    topology is yielded.
     """
     if n < 1:
         raise ValueError("need at least 1 leaf")
     if n == 1:
         yield ()
         return
-    adj: dict[int, set[int]] = {0: {1}, 1: {0}}
-    next_internal = [n]
-
-    def edges_snapshot():
-        return tuple(
-            sorted((u, v) for u in adj for v in adj[u] if u < v)
-        )
+    masks = [0b10]
 
     def rec(k):
-        if _prefix_ok is not None and not _prefix_ok(k - 1, adj):
+        if _prefix_ok is not None and not _prefix_ok(k - 1, masks):
             return
         if k == n:
-            yield edges_snapshot()
+            yield tuple(masks)
             return
-        # attach leaf k to an existing internal vertex
-        for v in list(adj):
-            if v >= n:  # internal
-                adj[v].add(k)
-                adj[k] = {v}
+        bit = 1 << k
+        for e in range(len(masks)):
+            old = masks[e]
+            up = [i for i, m in enumerate(masks) if m & old == old]
+            for i in up:
+                masks[i] |= bit
+            if old & (old - 1):  # attach to the internal vertex below e
+                masks.append(bit)
                 yield from rec(k + 1)
-                del adj[k]
-                adj[v].discard(k)
-        # subdivide an edge and hang leaf k on the new internal vertex
-        w = next_internal[0]
-        next_internal[0] += 1
-        for u, v in [(u, v) for u in adj for v in adj[u] if u < v]:
-            adj[u].discard(v)
-            adj[v].discard(u)
-            adj[w] = {u, v, k}
-            adj[u].add(w)
-            adj[v].add(w)
-            adj[k] = {w}
+                masks.pop()
+            masks.extend((bit, old))  # subdivide e
             yield from rec(k + 1)
-            del adj[k]
-            del adj[w]
-            adj[u].discard(w)
-            adj[v].discard(w)
-            adj[u].add(v)
-            adj[v].add(u)
-        next_internal[0] -= 1
+            del masks[-2:]
+            for i in up:
+                masks[i] ^= bit
 
     yield from rec(2)
+
+
+def _mask_edges(masks, n: int) -> list:
+    """The ``(u, v)`` edges, u < v, of the topology whose edge leaf masks
+    are ``masks`` (``iter_topologies``), in mask order.
+
+    The far end of an edge is leaf i for the mask ``1 << i`` and otherwise
+    the internal vertex numbered n + (its rank among the internal far
+    ends).  The near end is the far end of the least mask that strictly
+    contains it, or leaf 0.
+    """
+    far = {m: m.bit_length() - 1 for m in masks}
+    for i, m in enumerate(m for m in masks if m & (m - 1)):
+        far[m] = n + i
+    edges = []
+    for m in masks:
+        above = [p for p in masks if p & m == m and p != m]
+        edges.append(tuple(sorted((far[m], far[min(above)] if above else 0))))
+    return edges
 
 
 def enumerate_topologies(n: int, max_internal: int | None = None) -> TopologyCatalog:
     """Complete duplicate-free catalog; n is capped at desk scale."""
     if n > TOPOLOGY_LEAF_CAP:
         raise CapacityError(f"topology enumeration supports n <= {TOPOLOGY_LEAF_CAP}, got {n}")
-    topologies = []
-    for edges in iter_topologies(n):
-        internals = {v for e in edges for v in e if v >= n}
-        if max_internal is not None and len(internals) > max_internal:
-            continue
-        topologies.append(edges)
-    return TopologyCatalog(n, tuple(topologies))
+    return TopologyCatalog(n, tuple(
+        tuple(sorted(_mask_edges(masks, n)))
+        for masks in iter_topologies(n)
+        if max_internal is None or sum(1 for m in masks if m & (m - 1)) <= max_internal
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +197,6 @@ def graph_automorphisms(graph: SimpleGraph) -> list[tuple[int, ...]]:
     return autos
 
 
-def _split_key(edges: tuple, n: int) -> tuple:
-    """Nontrivial splits of a topology as canonical leaf bitmasks: the
-    leaf masks of its internal edges, which follow the n pendant edges in
-    the sorted edge tuples of ``iter_topologies``."""
-    return tuple(sorted(_leaf_masks(edges, range(n))[n:]))
-
-
 def _permute_mask_tables(perms, n):
     """For each permutation, the table mapping a leaf mask m to its image."""
     tables = []
@@ -210,27 +208,26 @@ def _permute_mask_tables(perms, n):
     return tables
 
 
-def _is_orbit_representative(key, tables, full):
+def _is_orbit_representative(masks, tables, full):
+    """Is the topology's split key the least of its images?  The key is
+    the sorted masks of its internal edges: those with two bits or more,
+    less leaf 0's pendant mask ``masks[0]``."""
+    key = sorted([m for m in masks[1:] if m & (m - 1)])
     for table in tables:
         remapped = []
         for m in key:
             r = table[m]
-            if r & 1:
-                r = full & ~r
+            if r & 1:  # an image that holds leaf 0 is read from the other side
+                r ^= full
             remapped.append(r)
         remapped.sort()
-        if tuple(remapped) < key:
+        if remapped < key:
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # region assignments, quartet pruning and the feasibility LP
-
-
-def _pair_paths(edges: tuple, n: int):
-    """For each leaf pair, the edge indices on its path."""
-    return _leaf_paths(_leaf_masks(edges, range(n)), n)
 
 
 def _can_be_le(lo, hi) -> bool:
@@ -295,7 +292,7 @@ def _groupings_and_checks(quartet, shape):
 
 def _quartet_structures(n: int, masks):
     """Per 4-subset: its groupings and checks (``_groupings_and_checks``)
-    in the topology whose edge leaf masks are ``masks`` (``_leaf_masks``)."""
+    in the topology whose edge leaf masks are ``masks``."""
     return [
         _groupings_and_checks(quartet, _quartet_shape(quartet, masks))
         for quartet in itertools.combinations(range(n), 4)
@@ -326,7 +323,7 @@ def _forced_quartet_cut(n: int, edge_pairs):
       already placed, so the quartet has the same shape, and fails, in
       every topology grown from the partial one.
     - On such a topology the one region assignment fails that check, so
-      ``_TopologySearch(edges, n, edge_pairs, 1).search()`` is None, without
+      ``_TopologySearch(masks, n, edge_pairs, 1).search()`` is None, without
       an LP.  The checks are necessary conditions: by the four-point
       condition (Buneman 1974), in a positively weighted tree the two cross
       sums of a split quartet are equal and at least its split sum, and
@@ -366,16 +363,7 @@ def _forced_quartet_cut(n: int, edge_pairs):
     if not any(failing):
         return None
 
-    def prefix_ok(k, adj):
-        if not failing[k]:
-            return True
-        # far-side leaf masks of the partial topology's edges, seen from k
-        walk = list(_walk(adj, k))
-        below = {v: 1 << v if v < n else 0 for v, _ in walk}
-        for v, parent in reversed(walk):
-            if parent != k:
-                below[parent] |= below[v]
-        masks = below.values()
+    def prefix_ok(k, masks):
         return all(_quartet_shape(quartet, masks) not in bad for quartet, bad in failing[k])
 
     return prefix_ok
@@ -384,11 +372,10 @@ def _forced_quartet_cut(n: int, edge_pairs):
 class _TopologySearch:
     """Backtracking region-assignment search for one topology."""
 
-    def __init__(self, edges, n, edge_pairs, q):
-        self.edges = edges
+    def __init__(self, masks, n, edge_pairs, q):
+        self.m = len(masks)
         self.n = n
         self.q = q
-        masks = _leaf_masks(edges, range(n))
         self.paths = _leaf_paths(masks, n)
         self.pairs = sorted(self.paths)
         pair_pos = {p: i for i, p in enumerate(self.pairs)}
@@ -438,14 +425,13 @@ class _TopologySearch:
         """Exact feasibility for the full assignment.
 
         Variables (all >= 0 after shifting):
-          x_e = w_e - 1 for each topology edge,
+          x_e = w_e - 1 for each topology edge, in mask order,
           y_i = theta_i - theta_{i-1} - 1 (theta_0 = 0),
         so theta_i = i + y_1 + ... + y_i and every strict inequality is a
         margin-1 constraint (no solutions are lost: the system is
         scale-invariant).
         """
-        m = len(self.edges)
-        q = self.q
+        m, q = self.m, self.q
         constraints = []
         for pos, pair in enumerate(self.pairs):
             r = self.assignment[pos]
@@ -473,16 +459,17 @@ class _TopologySearch:
         return weights, thetas
 
 
-def _tree_from(edges, labels, weights) -> WeightedTree:
-    """The weighted tree of a topology: leaf i is named ``labels[i]`` and
-    internal vertex v is named ``int{v - n}``."""
+def _tree_from(masks, labels, weights) -> WeightedTree:
+    """The weighted tree of a topology given by its edge leaf masks, with
+    ``weights`` in mask order: leaf i is named ``labels[i]`` and internal
+    vertex v of ``_mask_edges`` is named ``int{v - n}``."""
     n = len(labels)
 
     def name(v):
         return labels[v] if v < n else f"int{v - n}"
 
     return WeightedTree(
-        [(name(u), name(v), w) for (u, v), w in zip(edges, weights)],
+        [(name(u), name(v), w) for (u, v), w in zip(_mask_edges(masks, n), weights)],
         {label: label for label in labels},
     )
 
@@ -515,20 +502,20 @@ class _GraphSearch:
 
         An automorphism of the graph maps a topology that works onto one
         that works, so of each orbit only the topology with the least split
-        key is yielded.
+        key (``_is_orbit_representative``) is yielded.
         """
         n, tables = self.n, self.tables
         full = (1 << n) - 1
-        for edges in iter_topologies(n, self.forced_cut if q1 else None):
-            if not tables or _is_orbit_representative(_split_key(edges, n), tables, full):
-                yield edges
+        for masks in iter_topologies(n, self.forced_cut if q1 else None):
+            if not tables or _is_orbit_representative(masks, tables, full):
+                yield masks
 
     def glp(self, q: int) -> GlpCertificate | None:
-        for edges in self.topologies(q == 1):
-            result = _TopologySearch(edges, self.n, self.edge_pairs, q).search()
+        for masks in self.topologies(q == 1):
+            result = _TopologySearch(masks, self.n, self.edge_pairs, q).search()
             if result is not None:
                 weights, thetas = result
-                tree = _tree_from(edges, self.labels, weights)
+                tree = _tree_from(masks, self.labels, weights)
                 cert = GlpCertificate(tree, ThresholdSequence(tuple(thetas)))
                 if graph_from_certificate(cert) != self.graph:
                     raise InternalError("recognize_glp: the certificate induces another graph")
@@ -536,11 +523,11 @@ class _GraphSearch:
         return None
 
     def k_leaf_root(self, k: int) -> WeightedTree | None:
-        for edges in self.topologies(True):
-            m = len(edges)
+        for masks in self.topologies(True):
+            m = len(masks)
             constraints = [({e: 1}, exactlp.GE, 1) for e in range(m)]
             ok_shape = True
-            for pair, path in _pair_paths(edges, self.n).items():
+            for pair, path in _leaf_paths(masks, self.n).items():
                 coeffs = {e: 1 for e in path}
                 if pair in self.edge_pairs:
                     if len(path) > k:  # every edge weighs >= 1
@@ -553,7 +540,7 @@ class _GraphSearch:
                 continue
             solution = _ilp_feasible(m, constraints, k + 1)
             if solution is not None:
-                tree = _tree_from(edges, self.labels, [int(v) for v in solution])
+                tree = _tree_from(masks, self.labels, [int(v) for v in solution])
                 cert = GlpCertificate(tree, ThresholdSequence((Fraction(k),)))
                 if graph_from_certificate(cert) != self.graph:
                     raise InternalError("is_k_leaf_power: the k-leaf root induces another graph")

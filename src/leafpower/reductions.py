@@ -33,10 +33,13 @@ from .glp_core import (
     verify_certificate,
 )
 from .rational import format_rational, parse_rational
-from .recognition import TOPOLOGY_LEAF_CAP, _pair_paths, _tree_from, iter_topologies
-from .tree_metric import WeightedTree, _distances, restrict_to_leaves
+from .recognition import TOPOLOGY_LEAF_CAP, _tree_from, iter_topologies
+from .tree_metric import WeightedTree, _distances, _leaf_paths, restrict_to_leaves
 
 TOC_REALIZABILITY_CAP = 7
+# q = 8 builds 512 vertices and 87,296 edges in about 1 s and 100 MB (2-core
+# x86_64 VM); each step more takes about 8x the time and 4x the edges
+NON_GLP_Q_CAP = 8
 
 
 def _pair(a, b) -> frozenset:
@@ -460,6 +463,8 @@ def non_glp_family(q: int) -> SimpleGraph:
     """A graph on 2^(q+1) vertices outside GLP(q): iterate the step from C4."""
     if q < 1:
         raise ValueError("q must be >= 1")
+    if q > NON_GLP_Q_CAP:
+        raise CapacityError(f"q = {q} exceeds the cap of {NON_GLP_Q_CAP}: 2^(q+1) vertices")
     graph = SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     for _ in range(q - 1):
         graph = glp_step(graph)
@@ -492,9 +497,9 @@ def toc_realizability_small(toc: TocInstance) -> WeightedTree | None:
                     tuple(sorted(index[e] for e in large)),
                 )
             )
-    for edges in iter_topologies(n):
-        m = len(edges)
-        paths = _pair_paths(edges, n)
+    for masks in iter_topologies(n):
+        m = len(masks)
+        paths = _leaf_paths(masks, n)
         constraints = []
         for small, large in relations:
             coeffs: dict = {}
@@ -507,7 +512,7 @@ def toc_realizability_small(toc: TocInstance) -> WeightedTree | None:
         solution = exactlp.find_feasible_point(m, constraints)
         if solution is None:
             continue
-        tree = _tree_from(edges, labels, [w + 1 for w in solution])
+        tree = _tree_from(masks, labels, [w + 1 for w in solution])
         if not toc.realized_by(tree):
             raise InternalError("toc_realizability_small: the tree does not realize the order")
         return tree

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from leafpower import InternalError, SimpleGraph, WeightedTree, toc_from_tree
-from leafpower import cli
+from leafpower import cli, reductions
 from leafpower.cli import main
 
 from conftest import random_weighted_tree
@@ -29,6 +29,17 @@ def test_non_glp(capsys):
     code, out, _ = run(capsys, "non-glp", "2")
     assert code == 0
     assert len(json.loads(out)["vertices"]) == 8
+
+
+@pytest.mark.parametrize("q", ["9", "1000000000"])
+def test_non_glp_over_cap_exits_3_at_once(capsys, monkeypatch, q):
+    # the graph would have 2^(q+1) vertices; no doubling step is taken
+    def no_step(graph):
+        raise AssertionError("built a step of an over-cap graph")
+
+    monkeypatch.setattr(reductions, "glp_step", no_step)
+    code, out, err = run(capsys, "non-glp", q)
+    assert code == 3 and out == "" and "cap of 8" in err
 
 
 def test_recognize_none_vs_cert(capsys, c4_path):
@@ -131,6 +142,14 @@ def test_fuzz_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["violations"] == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--trees", "-5"), ("--trees", "0"), ("--leaves", "3"), ("--leaves", "-1")]
+)
+def test_fuzz_rejects_arguments_that_check_nothing(capsys, flag, value):
+    code, out, err = run(capsys, "fuzz", "--seed", "1", flag, value)
+    assert code == 2 and out == "" and flag in err
 
 
 def test_lift_and_complement_round_trip(capsys, tmp_path, c4_path):

@@ -23,19 +23,19 @@ from leafpower import (
     recognize_glp,
     verify_certificate,
 )
-from leafpower import exactlp, glp_core, recognition
+from leafpower import exactlp, glp_core, recognition, tree_metric
 from leafpower.recognition import (
     _STAR_CHECKS,
     _TopologySearch,
     _can_be_le,
     _forced_quartet_cut,
+    _mask_edges,
     _permute_mask_tables,
     _quartet_structures,
-    _split_key,
     graph_automorphisms,
     iter_topologies,
 )
-from leafpower.tree_metric import _leaf_masks
+from leafpower.tree_metric import _leaf_masks, _leaf_paths
 
 from conftest import is_k_leaf_power_by_literature, random_certificate
 
@@ -99,7 +99,8 @@ class TestTopologies:
     def test_counts_and_uniqueness(self, n):
         keys = set()
         count = 0
-        for edges in iter_topologies(n):
+        for masks in iter_topologies(n):
+            edges = _mask_edges(masks, n)
             count += 1
             key = split_key(edges, n)
             assert key not in keys, "duplicate topology"
@@ -114,6 +115,10 @@ class TestTopologies:
             assert all(deg[v] == 1 for v in deg if v < n)
             assert len(internals) <= n - 2
             assert len(deg) <= 2 * n - 1
+            # a tree on vertices 0..|V|-1 whose leaf masks (seen from leaf 0)
+            # are the yielded ones
+            assert sorted(deg) == list(range(len(deg))) and len(edges) == len(deg) - 1
+            assert _leaf_masks(edges, range(n)) == list(masks)
         assert count == KNOWN_COUNTS[n]
 
     def test_max_internal_filter(self):
@@ -130,20 +135,25 @@ class TestTopologies:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_split_key_matches_oracle(self, n):
-        for edges in iter_topologies(n):
-            key = _split_key(edges, n)
+        # the split key of the orbit filter: the masks with two bits or
+        # more, less leaf 0's pendant mask (the first)
+        for masks in iter_topologies(n):
+            key = [m for m in masks[1:] if m & (m - 1)]
             sides = frozenset(frozenset(i for i in range(n) if m >> i & 1) for m in key)
             assert len(sides) == len(key)
-            assert sides == split_key(edges, n)
+            assert sides == split_key(_mask_edges(masks, n), n)
+
+    def test_eight_leaf_count(self):
+        assert sum(1 for _ in iter_topologies(8)) == 39208
 
     def test_quartet_shapes_match_oracle(self):
         # a quartet is a star exactly when no split cuts it 2|2; otherwise
         # its split grouping comes first
         n = 7
         quartets = stars = 0
-        for edges in iter_topologies(n):
-            splits = split_key(edges, n)
-            structures = _quartet_structures(n, _leaf_masks(edges, range(n)))
+        for masks in iter_topologies(n):
+            splits = split_key(_mask_edges(masks, n), n)
+            structures = _quartet_structures(n, masks)
             for quartet, (groupings, checks) in zip(
                 itertools.combinations(range(n), 4), structures
             ):
@@ -220,8 +230,8 @@ class TestRecognize:
                 tuple(sorted((index[u], index[v]))) for u, v in g.edge_list()
             }
             found = False
-            for edges in iter_topologies(n):
-                if _TopologySearch(edges, n, edges_idx, 1).search():
+            for masks in iter_topologies(n):
+                if _TopologySearch(masks, n, edges_idx, 1).search():
                     found = True
                     break
             assert not found
@@ -241,8 +251,8 @@ class TestRecognize:
 
 
 def own_topology(cert):
-    """The certificate's tree as a topology over leaf indices, and the
-    index pairs of its induced graph's edges."""
+    """The certificate's tree as a topology over leaf indices (its edge
+    leaf masks), and the index pairs of its induced graph's edges."""
     labels = cert.tree.labels()
     ids = {cert.tree.vertex_of(a): i for i, a in enumerate(labels)}
     for v in cert.tree.vertices:
@@ -252,7 +262,7 @@ def own_topology(cert):
     index = {v: i for i, v in enumerate(graph.vertices)}
     assert [index[a] for a in labels] == list(range(len(labels)))
     pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
-    return edges, len(labels), pairs
+    return _leaf_masks(edges, range(len(labels))), len(labels), pairs
 
 
 class TestQuartetPruning:
@@ -266,8 +276,8 @@ class TestQuartetPruning:
             if cert.order < 2 or len(cert.tree.labels()) < 4:
                 continue
             searched += 1
-            edges, n, pairs = own_topology(cert)
-            assert _TopologySearch(edges, n, pairs, cert.order).search() is not None
+            masks, n, pairs = own_topology(cert)
+            assert _TopologySearch(masks, n, pairs, cert.order).search() is not None
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_can_be_le_matches_lp(self, q):
@@ -297,13 +307,11 @@ def unit_grid_leaf_powers(n, max_weight):
     are evaluated with one matrix product per topology.  Serves as the
     independent completeness oracle for the search.
     """
-    from leafpower.recognition import _pair_paths
-
     pairs = list(itertools.combinations(range(n), 2))
     achievable = set()
-    for edges in iter_topologies(n):
-        m = len(edges)
-        paths = _pair_paths(edges, n)
+    for masks in iter_topologies(n):
+        m = len(masks)
+        paths = _leaf_paths(masks, n)
         incidence = np.zeros((m, len(pairs)), dtype=np.int64)
         for col, pair in enumerate(pairs):
             for e in paths[pair]:
@@ -519,9 +527,9 @@ def count_work(monkeypatch):
     topologies = recognition.iter_topologies
 
     def counting_topologies(*args):
-        for edges in topologies(*args):
+        for masks in topologies(*args):
             counts["topologies"] += 1
-            yield edges
+            yield masks
 
     class CountingSearch(recognition._TopologySearch):
         def __init__(self, *args):
@@ -538,6 +546,24 @@ class TestOrbitFilter:
         """Deterministic work counts of the orbit-filtered topology loop."""
         counts = count_work(monkeypatch)
         assert recognize_glp(non_glp_family(2), 2) is None
+        assert counts == {"topologies": 39208, "searches": 688}
+
+    def test_non_glp_family_2_builds_no_tree(self, monkeypatch):
+        # the topologies come as edge leaf masks, so the search never walks
+        # a tree to rebuild them (39,896 walks when it did)
+        counts = count_work(monkeypatch)
+        walks = []
+        for module in (tree_metric, recognition, glp_core):
+            if hasattr(module, "_leaf_masks"):
+                original = module._leaf_masks
+
+                def counting(*args, original=original):
+                    walks.append(1)
+                    return original(*args)
+
+                monkeypatch.setattr(module, "_leaf_masks", counting)
+        assert recognize_glp(non_glp_family(2), 2) is None
+        assert len(walks) == 0
         assert counts == {"topologies": 39208, "searches": 688}
 
     def test_p8_q1_search_count(self, monkeypatch):
@@ -558,10 +584,10 @@ def index_pairs(graph):
     return {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
 
 
-def passes_every_quartet(edges, n, pairs):
+def passes_every_quartet(masks, n, pairs):
     """Does the one q = 1 region assignment of this topology pass all of
     the search's quartet checks?"""
-    search = _TopologySearch(edges, n, pairs, 1)
+    search = _TopologySearch(masks, n, pairs, 1)
     search.assignment = [allowed[0] for allowed in search.allowed]
     return all(search._quartets_ok(i) for i in range(len(search.pairs)))
 
@@ -582,12 +608,12 @@ class TestForcedQuartetCut:
             prefix_ok = _forced_quartet_cut(n, pairs)
             kept = set(iter_topologies(n, prefix_ok))
             passing = set()
-            for edges in iter_topologies(n):
-                if edges not in kept:
+            for masks in iter_topologies(n):
+                if masks not in kept:
                     dropped_total += 1
-                    assert _TopologySearch(edges, n, pairs, 1).search() is None
-                if passes_every_quartet(edges, n, pairs):
-                    passing.add(edges)
+                    assert _TopologySearch(masks, n, pairs, 1).search() is None
+                if passes_every_quartet(masks, n, pairs):
+                    passing.add(masks)
             assert kept == passing
         assert dropped_total > 0
 
