@@ -59,6 +59,11 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
+# fuzz classifies all C(n, 4) leaf quartets of every tree, at 70-125 us
+# each (x86_64, Python 3.11): a 24-leaf tree has 10,626 quartets and takes
+# 0.8 s, a 32-leaf tree 36k and 2.5 s, a 200-leaf tree 65M and over an hour
+FUZZ_LEAF_CAP = 24
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -315,6 +320,8 @@ def _random_tree(rng: random.Random, n_leaves: int) -> WeightedTree:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.leaves > FUZZ_LEAF_CAP:
+        raise CapacityError(f"--leaves {args.leaves} exceeds the fuzz cap of {FUZZ_LEAF_CAP}")
     rng = random.Random(args.seed)
     quartets = 0
     violations = 0

@@ -13,6 +13,14 @@ with the parity edge rule, pruned by an exact four-point-condition
 consistency check on quartets, and surviving assignments are decided by a
 margin-1 exact LP over edge weights and thresholds.
 
+Whatever depends only on the graph and q is built once: the pairs, their
+allowed regions, the branching order and, per quartet, the pair that
+triggers its check and its checks for each of its four shapes
+(``_SearchPlan``), with the verdicts found so far, keyed by the quartet's
+six regions.  A topology only reads its quartet shapes off a per-n table
+of the quartets each edge mask splits (``_split_table``) and runs its DFS;
+the leaf-pair paths are read off the masks only when an LP is built.
+
 At q = 1, and for k-leaf powers, the graph fixes every pair's region, so
 the quartet check depends only on the quartet's shape.  A per-graph table
 of failing shapes then cuts the leaf insertion itself: once a quartet's
@@ -26,6 +34,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -198,30 +208,56 @@ def graph_automorphisms(graph: SimpleGraph) -> list[tuple[int, ...]]:
 
 
 def _permute_mask_tables(perms, n):
-    """For each permutation, the table mapping a leaf mask m to its image."""
+    """For each permutation, the table mapping a leaf mask m to its image,
+    read from the other side (complemented over the n leaves) when the
+    image holds leaf 0, as the split keys of ``_is_orbit_representative``
+    are.
+
+    Each table doubles over bits 0..n-1 and XORs in one term per bit:
+    ``1 << perm[j]``, except ``full ^ 1`` for the leaf j that perm maps to
+    leaf 0.  A mask without that leaf gets the XOR of distinct bits, its
+    image; a mask with it gets ``full ^ 1`` XOR the image of the rest, the
+    complement of its image.
+    """
+    full = (1 << n) - 1
     tables = []
     for perm in perms:
         table = [0]
         for j in range(n):  # extend the masks over bits 0..j-1 by bit j
-            table += [m | 1 << perm[j] for m in table]
+            image = full ^ 1 if perm[j] == 0 else 1 << perm[j]
+            table += [m ^ image for m in table]
         tables.append(table)
     return tables
 
 
-def _is_orbit_representative(masks, tables, full):
+class _LeastImages(dict):
+    """The least image of a leaf mask over permuted mask tables, computed
+    the first time the mask is looked up."""
+
+    def __init__(self, tables):
+        super().__init__()
+        self.tables = tables
+
+    def __missing__(self, m):
+        self[m] = least = min(map(operator.itemgetter(m), self.tables))
+        return least
+
+
+def _is_orbit_representative(masks, tables, least):
     """Is the topology's split key the least of its images?  The key is
     the sorted masks of its internal edges: those with two bits or more,
-    less leaf 0's pendant mask ``masks[0]``."""
+    less leaf 0's pendant mask ``masks[0]``.
+
+    ``tables`` are the permuted mask tables of ``_permute_mask_tables``
+    and ``least`` their ``_LeastImages``.  A mask of the key whose least
+    image is below the key's first mask puts some image below the key, so
+    that test only rejects keys the full comparison rejects.
+    """
     key = sorted([m for m in masks[1:] if m & (m - 1)])
+    if key and min(map(least.__getitem__, key)) < key[0]:
+        return False
     for table in tables:
-        remapped = []
-        for m in key:
-            r = table[m]
-            if r & 1:  # an image that holds leaf 0 is read from the other side
-                r ^= full
-            remapped.append(r)
-        remapped.sort()
-        if remapped < key:
+        if sorted(map(table.__getitem__, key)) < key:
             return False
     return True
 
@@ -290,13 +326,34 @@ def _groupings_and_checks(quartet, shape):
     return (groupings[shape],) + groupings[:shape] + groupings[shape + 1:], _SPLIT_CHECKS
 
 
-def _quartet_structures(n: int, masks):
-    """Per 4-subset: its groupings and checks (``_groupings_and_checks``)
-    in the topology whose edge leaf masks are ``masks``."""
-    return [
-        _groupings_and_checks(quartet, _quartet_shape(quartet, masks))
-        for quartet in itertools.combinations(range(n), 4)
-    ]
+@functools.cache
+def _split_table(n: int) -> list:
+    """Per leaf mask m over n leaves: the ``(t, shape)`` pairs, t the index
+    of a 4-subset in ``itertools.combinations(range(n), 4)``, of the
+    quartets that an edge with far side m splits 2|2, with the shape of
+    ``_quartet_shape``."""
+    table = [[] for _ in range(1 << n)]
+    for t, (a, *others) in enumerate(itertools.combinations(range(n), 4)):
+        leaves = 1 << a | sum(1 << v for v in others)
+        for m, entry in enumerate(table):
+            cut = m & leaves
+            if cut.bit_count() == 2:
+                pair = cut if cut >> a & 1 else leaves ^ cut
+                entry.append((t, others.index((pair ^ 1 << a).bit_length() - 1)))
+    return table
+
+
+def _quartet_shapes(masks, n: int) -> list:
+    """The shape of every 4-subset, in ``itertools.combinations`` order, in
+    the topology whose edge leaf masks are ``masks``: a star unless the
+    split table entry of some mask splits it.  Pendant masks, of one bit
+    or n - 1 bits, split no quartet, so only internal edges count."""
+    split = _split_table(n)
+    shapes = [3] * math.comb(n, 4)
+    for m in masks:
+        for t, shape in split[m]:
+            shapes[t] = shape
+    return shapes
 
 
 def _allowed_regions(is_edge: bool, q: int) -> tuple:
@@ -369,60 +426,97 @@ def _forced_quartet_cut(n: int, edge_pairs):
     return prefix_ok
 
 
-class _TopologySearch:
-    """Backtracking region-assignment search for one topology."""
+class _SearchPlan:
+    """What the region search on every topology of one graph at one q
+    shares.
 
-    def __init__(self, masks, n, edge_pairs, q):
-        self.m = len(masks)
+    - ``pairs``: the leaf pairs i < j in ``itertools.combinations`` order;
+    - ``allowed``: each pair's regions under the parity edge rule;
+    - ``order``: the branching order, forced pairs first;
+    - ``by_trigger``: per pair, the quartets whose six pairs it completes
+      in that order (their trigger), as ``(t, qmask, by_shape)``: the
+      quartet's index, the bits of its six pairs in an assignment code and,
+      per shape of ``_quartet_shape``, its ``(sums, checks, verdicts)``.
+
+    An assignment code packs pair i's region into bits ``i * width`` and
+    up.  ``verdicts`` maps ``code & qmask`` to whether the six regions
+    pass the shape's checks, so each verdict is computed once per graph
+    and q, for all its topologies.
+    """
+
+    def __init__(self, n, edge_pairs, q):
         self.n = n
         self.q = q
-        self.paths = _leaf_paths(masks, n)
-        self.pairs = sorted(self.paths)
+        self.width = q.bit_length()
+        self.pairs = list(itertools.combinations(range(n), 2))
         pair_pos = {p: i for i, p in enumerate(self.pairs)}
-        self.allowed = [
-            _allowed_regions(p in edge_pairs, q) for p in self.pairs
-        ]
-        self.assignment = [None] * len(self.pairs)
-        # branch on forced pairs first, then natural order
-        self.order = sorted(
-            range(len(self.pairs)), key=lambda i: (len(self.allowed[i]), i)
-        )
+        self.allowed = [_allowed_regions(p in edge_pairs, q) for p in self.pairs]
+        self.order = sorted(range(len(self.pairs)), key=lambda i: (len(self.allowed[i]), i))
         when_assigned = {pair_idx: t for t, pair_idx in enumerate(self.order)}
-        # each quartet is checked once, when its last pair gets assigned;
-        # it is stored as the pair positions of its three sums
-        self.quartets_by_pair = [[] for _ in self.pairs]
-        for groupings, checks in _quartet_structures(n, masks):
-            sums = tuple((pair_pos[p1], pair_pos[p2]) for p1, p2 in groupings)
-            trigger = max((i for s in sums for i in s), key=when_assigned.__getitem__)
-            self.quartets_by_pair[trigger].append((sums, checks))
+        region_bits = (1 << self.width) - 1
+        self.by_trigger = [[] for _ in self.pairs]
+        for t, quartet in enumerate(itertools.combinations(range(n), 4)):
+            positions = [pair_pos[p] for p in itertools.combinations(quartet, 2)]
+            trigger = max(positions, key=when_assigned.__getitem__)
+            qmask = sum(region_bits << i * self.width for i in positions)
+            by_shape = []
+            for shape in range(4):
+                groupings, checks = _groupings_and_checks(quartet, shape)
+                sums = tuple((pair_pos[p1], pair_pos[p2]) for p1, p2 in groupings)
+                by_shape.append((sums, checks, {}))
+            self.by_trigger[trigger].append((t, qmask, by_shape))
 
-    def _quartets_ok(self, pair_idx) -> bool:
-        assignment = self.assignment
-        for sums, checks in self.quartets_by_pair[pair_idx]:
-            regions = [(assignment[i], assignment[j]) for i, j in sums]
-            for lo, hi in checks:
-                if not _can_be_le(regions[lo], regions[hi]):
-                    return False
+    def region(self, code, pair_idx):
+        return code >> pair_idx * self.width & (1 << self.width) - 1
+
+    def passes(self, code, sums, checks) -> bool:
+        regions = [(self.region(code, i), self.region(code, j)) for i, j in sums]
+        return all(_can_be_le(regions[lo], regions[hi]) for lo, hi in checks)
+
+
+class _TopologySearch:
+    """Backtracking region-assignment search for one topology: it reads its
+    quartet shapes and runs its DFS over the graph's ``_SearchPlan``."""
+
+    def __init__(self, masks, plan):
+        self.masks = masks
+        self.plan = plan
+        self.shapes = _quartet_shapes(masks, plan.n)
+
+    def _quartets_ok(self, pair_idx, code) -> bool:
+        """Do the quartets that ``pair_idx`` triggers pass their checks in
+        the assignment ``code``?  Each quartet is checked once, when the
+        last of its six pairs gets assigned."""
+        shapes, plan = self.shapes, self.plan
+        for t, qmask, by_shape in plan.by_trigger[pair_idx]:
+            sums, checks, verdicts = by_shape[shapes[t]]
+            key = code & qmask
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = plan.passes(code, sums, checks)
+            if not ok:
+                return False
         return True
 
     def search(self):
-        return self._dfs(0)
+        return self._dfs(0, 0)
 
-    def _dfs(self, depth):
-        if depth == len(self.order):
-            return self._solve_lp()
-        pair_idx = self.order[depth]
-        for region in self.allowed[pair_idx]:
-            self.assignment[pair_idx] = region
-            if self._quartets_ok(pair_idx):
-                result = self._dfs(depth + 1)
+    def _dfs(self, depth, code):
+        plan = self.plan
+        if depth == len(plan.order):
+            return self._solve_lp(code)
+        pair_idx = plan.order[depth]
+        shift = pair_idx * plan.width
+        for region in plan.allowed[pair_idx]:
+            assigned = code | region << shift
+            if self._quartets_ok(pair_idx, assigned):
+                result = self._dfs(depth + 1, assigned)
                 if result is not None:
                     return result
-        self.assignment[pair_idx] = None
         return None
 
-    def _solve_lp(self):
-        """Exact feasibility for the full assignment.
+    def _solve_lp(self, code):
+        """Exact feasibility for the full assignment ``code``.
 
         Variables (all >= 0 after shifting):
           x_e = w_e - 1 for each topology edge, in mask order,
@@ -431,11 +525,13 @@ class _TopologySearch:
         margin-1 constraint (no solutions are lost: the system is
         scale-invariant).
         """
-        m, q = self.m, self.q
+        plan = self.plan
+        m, q = len(self.masks), plan.q
+        paths = _leaf_paths(self.masks, plan.n)
         constraints = []
-        for pos, pair in enumerate(self.pairs):
-            r = self.assignment[pos]
-            path = self.paths[pair]
+        for pos, pair in enumerate(plan.pairs):
+            r = plan.region(code, pos)
+            path = paths[pair]
             base = len(path)  # contribution of the +1 shifts
             if r >= 1:
                 coeffs = {e: 1 for e in path}
@@ -491,6 +587,7 @@ class _GraphSearch:
         self.edge_pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
         autos = [p for p in graph_automorphisms(graph) if p != tuple(range(n))]
         self.tables = _permute_mask_tables(autos, n)
+        self.least = _LeastImages(self.tables)
 
     @functools.cached_property
     def forced_cut(self):
@@ -504,15 +601,15 @@ class _GraphSearch:
         that works, so of each orbit only the topology with the least split
         key (``_is_orbit_representative``) is yielded.
         """
-        n, tables = self.n, self.tables
-        full = (1 << n) - 1
-        for masks in iter_topologies(n, self.forced_cut if q1 else None):
-            if not tables or _is_orbit_representative(masks, tables, full):
+        tables, least = self.tables, self.least
+        for masks in iter_topologies(self.n, self.forced_cut if q1 else None):
+            if not tables or _is_orbit_representative(masks, tables, least):
                 yield masks
 
     def glp(self, q: int) -> GlpCertificate | None:
+        plan = _SearchPlan(self.n, self.edge_pairs, q)
         for masks in self.topologies(q == 1):
-            result = _TopologySearch(masks, self.n, self.edge_pairs, q).search()
+            result = _TopologySearch(masks, plan).search()
             if result is not None:
                 weights, thetas = result
                 tree = _tree_from(masks, self.labels, weights)

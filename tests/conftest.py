@@ -91,6 +91,39 @@ def is_k_leaf_power_by_literature(g, k) -> bool:
     )
 
 
+def orbit_representatives(graph):
+    """The topologies of ``iter_topologies`` on the graph's vertices, in
+    order, whose split key is the least over their orbit.
+
+    The key is the sorted leaf masks of the internal splits, each read from
+    the side without leaf 0.  Each orbit is built by mapping one member's
+    splits through every automorphism of ``graph_automorphisms``, leaf by
+    leaf.
+    """
+    from leafpower.recognition import graph_automorphisms, iter_topologies
+
+    n = len(graph)
+    full = (1 << n) - 1
+
+    def key(masks):
+        return tuple(sorted(m for m in masks[1:] if m & (m - 1)))
+
+    def image(perm, m):
+        r = sum(1 << perm[i] for i in range(n) if m >> i & 1)
+        return r ^ full if r & 1 else r  # the side without leaf 0
+
+    automorphisms = graph_automorphisms(graph)
+    topologies = list(iter_topologies(n))
+    least = {}
+    for masks in topologies:
+        k = key(masks)
+        if k not in least:
+            orbit = {tuple(sorted(image(perm, m) for m in k)) for perm in automorphisms}
+            for member in orbit:
+                least[member] = min(orbit)
+    return [masks for masks in topologies if least[key(masks)] == key(masks)]
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -152,6 +152,12 @@ def test_fuzz_rejects_arguments_that_check_nothing(capsys, flag, value):
     assert code == 2 and out == "" and flag in err
 
 
+def test_fuzz_rejects_leaves_over_the_cap_before_any_tree(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_random_tree", lambda *args: pytest.fail("built a tree"))
+    code, out, err = run(capsys, "fuzz", "--seed", "1", "--leaves", str(cli.FUZZ_LEAF_CAP + 1))
+    assert code == 3 and out == "" and "--leaves" in err
+
+
 def test_lift_and_complement_round_trip(capsys, tmp_path, c4_path):
     _, cert_json, _ = run(capsys, "recognize", c4_path, "-q", "2")
     cert_path = tmp_path / "cert.json"

@@ -26,18 +26,22 @@ from leafpower import (
 from leafpower import exactlp, glp_core, recognition, tree_metric
 from leafpower.recognition import (
     _STAR_CHECKS,
+    _GraphSearch,
+    _SearchPlan,
     _TopologySearch,
     _can_be_le,
     _forced_quartet_cut,
+    _groupings_and_checks,
     _mask_edges,
     _permute_mask_tables,
-    _quartet_structures,
+    _quartet_shape,
+    _quartet_shapes,
     graph_automorphisms,
     iter_topologies,
 )
 from leafpower.tree_metric import _leaf_masks, _leaf_paths
 
-from conftest import is_k_leaf_power_by_literature, random_certificate
+from conftest import is_k_leaf_power_by_literature, orbit_representatives, random_certificate
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 C4 = SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
@@ -153,10 +157,10 @@ class TestTopologies:
         quartets = stars = 0
         for masks in iter_topologies(n):
             splits = split_key(_mask_edges(masks, n), n)
-            structures = _quartet_structures(n, masks)
-            for quartet, (groupings, checks) in zip(
-                itertools.combinations(range(n), 4), structures
+            for quartet, shape in zip(
+                itertools.combinations(range(n), 4), _quartet_shapes(masks, n)
             ):
+                groupings, checks = _groupings_and_checks(quartet, shape)
                 cuts = [side & set(quartet) for side in splits]
                 cuts = [cut for cut in cuts if len(cut) == 2]
                 quartets += 1
@@ -167,6 +171,12 @@ class TestTopologies:
                     assert checks is _STAR_CHECKS
                     stars += 1
         assert (stars, quartets) == (13580, 96320)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+    def test_split_table_shapes_match_quartet_shape(self, n):
+        quartets = list(itertools.combinations(range(n), 4))
+        for masks in iter_topologies(n):
+            assert _quartet_shapes(masks, n) == [_quartet_shape(qt, masks) for qt in quartets]
 
 
 class TestRecognize:
@@ -229,9 +239,10 @@ class TestRecognize:
             edges_idx = {
                 tuple(sorted((index[u], index[v]))) for u, v in g.edge_list()
             }
+            plan = _SearchPlan(n, edges_idx, 1)
             found = False
             for masks in iter_topologies(n):
-                if _TopologySearch(masks, n, edges_idx, 1).search():
+                if _TopologySearch(masks, plan).search():
                     found = True
                     break
             assert not found
@@ -277,7 +288,8 @@ class TestQuartetPruning:
                 continue
             searched += 1
             masks, n, pairs = own_topology(cert)
-            assert _TopologySearch(masks, n, pairs, cert.order).search() is not None
+            plan = _SearchPlan(n, pairs, cert.order)
+            assert _TopologySearch(masks, plan).search() is not None
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_can_be_le_matches_lp(self, q):
@@ -453,14 +465,34 @@ class TestAutomorphisms:
         assert len(graph_automorphisms(C4)) == 8  # dihedral group of the square
 
     def test_mask_tables_match_bitwise_reference(self):
+        # the image of a mask, read from the other side when it holds leaf 0
         n = 5
+        full = (1 << n) - 1
         perms = graph_automorphisms(SimpleGraph(range(n)))
         assert len(perms) == 120
-        reference = [
-            [sum(1 << perm[j] for j in range(n) if m >> j & 1) for m in range(1 << n)]
-            for perm in perms
-        ]
+
+        def image(perm, m):
+            r = sum(1 << perm[j] for j in range(n) if m >> j & 1)
+            return r ^ full if r & 1 else r
+
+        reference = [[image(perm, m) for m in range(1 << n)] for perm in perms]
         assert _permute_mask_tables(perms, n) == reference
+
+    def test_orbit_filter_matches_its_definition(self):
+        # the yielded topologies are, in order, those whose split key is the
+        # least over their orbit under the graph's automorphisms
+        nx = pytest.importorskip("networkx")
+        graphs = [
+            SimpleGraph(list(g.nodes), list(g.edges))
+            for g in nx.graph_atlas_g()
+            if 5 <= g.number_of_nodes() <= 6
+        ]
+        seven = range(7)
+        graphs += [SimpleGraph(seven), SimpleGraph(seven, itertools.combinations(seven, 2))]
+        graphs.append(non_glp_family(2))
+        for graph in graphs:
+            expected = orbit_representatives(graph)
+            assert list(_GraphSearch(graph).topologies(False)) == expected, graph.edge_list()
 
     def test_edgeless(self):
         g = SimpleGraph("abc")
@@ -543,10 +575,29 @@ def count_work(monkeypatch):
 
 class TestOrbitFilter:
     def test_non_glp_family_2_search_count(self, monkeypatch):
-        """Deterministic work counts of the orbit-filtered topology loop."""
+        """Deterministic work counts of the orbit-filtered topology loop.
+
+        The topologies of one graph share each quartet verdict, so the
+        closed-form test runs a few thousand times (355,825 when every
+        topology recomputed its own), and no LP is needed."""
         counts = count_work(monkeypatch)
+        verdicts, lps = [], []
+        can_be_le, find_feasible_point = recognition._can_be_le, exactlp.find_feasible_point
+
+        def counting_can_be_le(lo, hi):
+            verdicts.append(1)
+            return can_be_le(lo, hi)
+
+        def counting_lp(*args):
+            lps.append(1)
+            return find_feasible_point(*args)
+
+        monkeypatch.setattr(recognition, "_can_be_le", counting_can_be_le)
+        monkeypatch.setattr(exactlp, "find_feasible_point", counting_lp)
         assert recognize_glp(non_glp_family(2), 2) is None
         assert counts == {"topologies": 39208, "searches": 688}
+        assert len(lps) == 0
+        assert len(verdicts) < 5000
 
     def test_non_glp_family_2_builds_no_tree(self, monkeypatch):
         # the topologies come as edge leaf masks, so the search never walks
@@ -584,12 +635,12 @@ def index_pairs(graph):
     return {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
 
 
-def passes_every_quartet(masks, n, pairs):
+def passes_every_quartet(masks, plan):
     """Does the one q = 1 region assignment of this topology pass all of
     the search's quartet checks?"""
-    search = _TopologySearch(masks, n, pairs, 1)
-    search.assignment = [allowed[0] for allowed in search.allowed]
-    return all(search._quartets_ok(i) for i in range(len(search.pairs)))
+    code = sum(allowed[0] << i * plan.width for i, allowed in enumerate(plan.allowed))
+    search = _TopologySearch(masks, plan)
+    return all(search._quartets_ok(i, code) for i in range(len(plan.pairs)))
 
 
 class TestForcedQuartetCut:
@@ -605,14 +656,15 @@ class TestForcedQuartetCut:
         dropped_total = 0
         for graph in graphs:
             n, pairs = len(graph), index_pairs(graph)
+            plan = _SearchPlan(n, pairs, 1)
             prefix_ok = _forced_quartet_cut(n, pairs)
             kept = set(iter_topologies(n, prefix_ok))
             passing = set()
             for masks in iter_topologies(n):
                 if masks not in kept:
                     dropped_total += 1
-                    assert _TopologySearch(masks, n, pairs, 1).search() is None
-                if passes_every_quartet(masks, n, pairs):
+                    assert _TopologySearch(masks, plan).search() is None
+                if passes_every_quartet(masks, plan):
                     passing.add(masks)
             assert kept == passing
         assert dropped_total > 0

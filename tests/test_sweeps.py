@@ -1,4 +1,4 @@
-"""Literature sweeps over all 1,044 graphs on 7 vertices.
+"""Literature and oracle sweeps over all 1,044 graphs on 7 vertices.
 
 They take minutes, so they are marked ``slow`` and left out of the default
 run; ``pytest -m slow`` runs them.
@@ -7,8 +7,9 @@ run; ``pytest -m slow`` runs them.
 import pytest
 
 from leafpower import SimpleGraph, is_k_leaf_power, recognize_glp, verify_certificate
+from leafpower.recognition import _GraphSearch
 
-from conftest import is_k_leaf_power_by_literature
+from conftest import is_k_leaf_power_by_literature, orbit_representatives
 
 nx = pytest.importorskip("networkx")
 
@@ -53,3 +54,12 @@ def test_7_vertex_2_and_3_leaf_powers_match_literature():
         for k in (2, 3):
             expected = is_k_leaf_power_by_literature(g, k)
             assert (is_k_leaf_power(graph, k) is not None) == expected, (k, list(g.edges))
+
+
+def test_7_vertex_orbit_filters_match_their_definition():
+    # the orbit filter yields, in order, the topologies whose split key is
+    # the least over their orbit under the graph's automorphisms
+    for g in atlas7():
+        graph = SimpleGraph(list(g.nodes), list(g.edges))
+        expected = orbit_representatives(graph)
+        assert list(_GraphSearch(graph).topologies(False)) == expected, list(g.edges)
