@@ -27,7 +27,7 @@ of failing shapes then cuts the leaf insertion itself: once a quartet's
 largest leaf is placed its shape never changes, so a failing quartet drops
 every topology grown from that point (``_forced_quartet_cut``).
 ``_GraphSearch`` holds what the searches on one graph share: its edges,
-the orbit tables of its automorphisms and that table.
+the orbit filter of its automorphisms and that table.
 """
 
 from __future__ import annotations
@@ -173,7 +173,15 @@ def enumerate_topologies(n: int, max_internal: int | None = None) -> TopologyCat
 
 
 def graph_automorphisms(graph: SimpleGraph) -> list[tuple[int, ...]]:
-    """All vertex permutations (as index tuples) preserving adjacency."""
+    """All vertex permutations (as index tuples) preserving adjacency, in
+    lexicographic order.
+
+    Backtracking places vertex 0, 1, ... in turn, each on the unused
+    vertices of its degree in increasing order, and keeps a choice c for
+    vertex i only when c is adjacent to the images of exactly the placed
+    vertices that i is adjacent to.  A full placement then preserves every
+    adjacency, and every automorphism passes each of these tests.
+    """
     vertices = graph.vertices
     n = len(vertices)
     index = {v: i for i, v in enumerate(vertices)}
@@ -182,84 +190,157 @@ def graph_automorphisms(graph: SimpleGraph) -> list[tuple[int, ...]]:
         i, j = index[u], index[v]
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    # refine candidates by degree to keep the n! scan cheap
-    degree = [bin(r).count("1") for r in rows]
+    degree = [r.bit_count() for r in rows]
+    same_degree = [[c for c in range(n) if degree[c] == degree[i]] for i in range(n)]
+    placed_neighbors = [[j for j in range(i) if rows[i] >> j & 1] for i in range(n)]
+    perm = [0] * n
+    image_bit = [0] * n  # 1 << perm[j]
     autos = []
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for i in range(n):
-            if degree[i] != degree[perm[i]]:
-                ok = False
-                break
-            mapped = 0
-            row = rows[i]
-            j = 0
-            while row:
-                if row & 1:
-                    mapped |= 1 << perm[j]
-                row >>= 1
-                j += 1
-            if mapped != rows[perm[i]]:
-                ok = False
-                break
-        if ok:
-            autos.append(perm)
+
+    def place(i, used):
+        image = 0
+        for j in placed_neighbors[i]:
+            image |= image_bit[j]
+        for c in same_degree[i]:
+            bit = 1 << c
+            if not used & bit and rows[c] & used == image:
+                perm[i] = c
+                image_bit[i] = bit
+                if i + 1 == n:
+                    autos.append(tuple(perm))
+                else:
+                    place(i + 1, used | bit)
+
+    if n == 0:
+        return [()]
+    place(0, 0)
     return autos
 
 
-def _permute_mask_tables(perms, n):
-    """For each permutation, the table mapping a leaf mask m to its image,
-    read from the other side (complemented over the n leaves) when the
-    image holds leaf 0, as the split keys of ``_is_orbit_representative``
-    are.
+class _MaskImages(dict):
+    """The images of leaf masks under one vertex permutation, each computed
+    on its first lookup, and read from the other side (complemented over
+    the n leaves) when the image holds leaf 0, as split keys are.
 
-    Each table doubles over bits 0..n-1 and XORs in one term per bit:
-    ``1 << perm[j]``, except ``full ^ 1`` for the leaf j that perm maps to
-    leaf 0.  A mask without that leaf gets the XOR of distinct bits, its
-    image; a mask with it gets ``full ^ 1`` XOR the image of the rest, the
-    complement of its image.
+    The image of m XORs one term per bit j of m: ``1 << perm[j]``, except
+    ``full ^ 1`` for the leaf j that perm maps to leaf 0.  A mask without
+    that leaf gets the XOR of distinct bits, its image; a mask with it gets
+    ``full ^ 1`` XOR the image of the rest, the complement of its image.
     """
-    full = (1 << n) - 1
-    tables = []
-    for perm in perms:
-        table = [0]
-        for j in range(n):  # extend the masks over bits 0..j-1 by bit j
-            image = full ^ 1 if perm[j] == 0 else 1 << perm[j]
-            table += [m ^ image for m in table]
-        tables.append(table)
-    return tables
+
+    __slots__ = ("terms",)
+
+    def __init__(self, perm, n):
+        super().__init__()
+        full = (1 << n) - 1
+        self.terms = [full ^ 1 if p == 0 else 1 << p for p in perm]
+
+    def __missing__(self, m):
+        terms = self.terms
+        image = 0
+        rest = m
+        while rest:
+            low = rest & -rest
+            image ^= terms[low.bit_length() - 1]
+            rest ^= low
+        self[m] = image
+        return image
+
+    def sorts_below(self, key) -> bool:
+        """Does the sorted image of the split key come before the key?"""
+        return sorted(map(self.__getitem__, key)) < key
 
 
 class _LeastImages(dict):
-    """The least image of a leaf mask over permuted mask tables, computed
-    the first time the mask is looked up."""
+    """The least image of a leaf mask over a list of ``_MaskImages``,
+    computed the first time the mask is looked up."""
 
-    def __init__(self, tables):
+    def __init__(self, images):
         super().__init__()
-        self.tables = tables
+        self.images = images
 
     def __missing__(self, m):
-        self[m] = least = min(map(operator.itemgetter(m), self.tables))
+        self[m] = least = min(map(operator.itemgetter(m), self.images))
         return least
 
 
-def _is_orbit_representative(masks, tables, least):
-    """Is the topology's split key the least of its images?  The key is
-    the sorted masks of its internal edges: those with two bits or more,
-    less leaf 0's pendant mask ``masks[0]``.
+class _OrbitFilter:
+    """The orbit test on the topologies of one graph with a nontrivial
+    automorphism group: a topology is kept when its split key, the sorted
+    masks of its internal edges, is the least of its images.
 
-    ``tables`` are the permuted mask tables of ``_permute_mask_tables``
-    and ``least`` their ``_LeastImages``.  A mask of the key whose least
-    image is below the key's first mask puts some image below the key, so
-    that test only rejects keys the full comparison rejects.
+    Two tests decide it, reading mask images only as they are needed:
+
+    - Least images.  ``least[m]`` is the least image of the mask m over
+      the group.  A key mask whose least image is below the key's first
+      mask ``key[0]`` puts some image below the key: reject.
+    - Candidates.  Otherwise every image of every key mask is at least
+      ``key[0]``, so the sorted image of the key under g starts at or above
+      ``key[0]``, and it can come before the key only when it starts with
+      ``key[0]``: when g maps some key mask onto ``key[0]``, that is when
+      N_g^-1(``key[0]``) is in the key, N_g being g's action on normalized
+      masks.  That is g's action on the splits of the leaf set, each split
+      named by its side without leaf 0, so it is a group action and
+      N_g^-1 = N_(g^-1).  So only the automorphisms g whose inverse maps
+      ``key[0]`` into the key are compared; no other one can undercut it.
+
+    ``by_first[first]`` maps each preimage p of ``first`` to the images of
+    the automorphisms g with N_(g^-1)(first) = p; it is filled per first
+    mask on its first lookup, from the automorphisms indexed by inverse.
+    No mask image is built before a topology with a nonempty key asks.
     """
-    key = sorted([m for m in masks[1:] if m & (m - 1)])
-    if key and min(map(least.__getitem__, key)) < key[0]:
-        return False
-    for table in tables:
-        if sorted(map(table.__getitem__, key)) < key:
+
+    def __init__(self, autos, n):
+        self.autos = autos
+        self.n = n
+        self.by_first = {}
+
+    @functools.cached_property
+    def images(self):
+        """Per automorphism, in list order, its ``_MaskImages``."""
+        return [_MaskImages(perm, self.n) for perm in self.autos]
+
+    @functools.cached_property
+    def least(self):
+        return _LeastImages(self.images)
+
+    @functools.cached_property
+    def inverse_images(self):
+        """Per automorphism, in list order, the mask images of its inverse."""
+        position = {perm: i for i, perm in enumerate(self.autos)}
+        inverses = []
+        for perm in self.autos:
+            inverse = [0] * len(perm)
+            for i, p in enumerate(perm):
+                inverse[p] = i
+            inverses.append(self.images[position[tuple(inverse)]])
+        return inverses
+
+    def _fill_by_first(self, first):
+        by_preimage = {}
+        for image, inverse in zip(self.images, self.inverse_images):
+            by_preimage.setdefault(inverse[first], []).append(image)
+        self.by_first[first] = by_preimage
+        return by_preimage
+
+    def is_representative(self, masks) -> bool:
+        """Is the topology's split key the least of its images?  The key is
+        the sorted masks of its internal edges: those with two bits or more,
+        less leaf 0's pendant mask ``masks[0]``."""
+        key = sorted([m for m in masks[1:] if m & (m - 1)])
+        if not key:
+            return True
+        first = key[0]
+        if min(map(self.least.__getitem__, key)) < first:
             return False
-    return True
+        by_preimage = self.by_first.get(first)
+        if by_preimage is None:
+            by_preimage = self._fill_by_first(first)
+        for m in key:
+            for image in by_preimage.get(m, ()):
+                if image.sorts_below(key):
+                    return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +653,7 @@ def _tree_from(masks, labels, weights) -> WeightedTree:
 
 class _GraphSearch:
     """The exhaustive searches on one graph.  They share what depends only
-    on the graph: its edges as leaf-index pairs, the mask tables of its
+    on the graph: its edges as leaf-index pairs, the orbit filter of its
     automorphisms and, once a q = 1 or k-leaf search asks for it, the
     forced-quartet cut."""
 
@@ -586,8 +667,7 @@ class _GraphSearch:
         index = {v: i for i, v in enumerate(self.labels)}
         self.edge_pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
         autos = [p for p in graph_automorphisms(graph) if p != tuple(range(n))]
-        self.tables = _permute_mask_tables(autos, n)
-        self.least = _LeastImages(self.tables)
+        self.orbits = _OrbitFilter(autos, n) if autos else None
 
     @functools.cached_property
     def forced_cut(self):
@@ -599,11 +679,11 @@ class _GraphSearch:
 
         An automorphism of the graph maps a topology that works onto one
         that works, so of each orbit only the topology with the least split
-        key (``_is_orbit_representative``) is yielded.
+        key (``_OrbitFilter``) is yielded.
         """
-        tables, least = self.tables, self.least
+        orbits = self.orbits
         for masks in iter_topologies(self.n, self.forced_cut if q1 else None):
-            if not tables or _is_orbit_representative(masks, tables, least):
+            if orbits is None or orbits.is_representative(masks):
                 yield masks
 
     def glp(self, q: int) -> GlpCertificate | None:

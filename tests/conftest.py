@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -91,16 +92,38 @@ def is_k_leaf_power_by_literature(g, k) -> bool:
     )
 
 
+def automorphisms_by_scan(graph):
+    """All vertex permutations (as index tuples over ``graph.vertices``)
+    preserving adjacency, in lexicographic order, by scanning all n!
+    permutations."""
+    vertices = graph.vertices
+    n = len(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = [0] * n
+    for u, v in graph.edge_list():
+        rows[index[u]] |= 1 << index[v]
+        rows[index[v]] |= 1 << index[u]
+
+    def image(perm, row):
+        return sum(1 << perm[j] for j in range(n) if row >> j & 1)
+
+    return [
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(image(perm, rows[i]) == rows[perm[i]] for i in range(n))
+    ]
+
+
 def orbit_representatives(graph):
     """The topologies of ``iter_topologies`` on the graph's vertices, in
     order, whose split key is the least over their orbit.
 
     The key is the sorted leaf masks of the internal splits, each read from
     the side without leaf 0.  Each orbit is built by mapping one member's
-    splits through every automorphism of ``graph_automorphisms``, leaf by
+    splits through every automorphism of ``automorphisms_by_scan``, leaf by
     leaf.
     """
-    from leafpower.recognition import graph_automorphisms, iter_topologies
+    from leafpower.recognition import iter_topologies
 
     n = len(graph)
     full = (1 << n) - 1
@@ -112,7 +135,7 @@ def orbit_representatives(graph):
         r = sum(1 << perm[i] for i in range(n) if m >> i & 1)
         return r ^ full if r & 1 else r  # the side without leaf 0
 
-    automorphisms = graph_automorphisms(graph)
+    automorphisms = automorphisms_by_scan(graph)
     topologies = list(iter_topologies(n))
     least = {}
     for masks in topologies:

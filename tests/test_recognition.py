@@ -27,13 +27,13 @@ from leafpower import exactlp, glp_core, recognition, tree_metric
 from leafpower.recognition import (
     _STAR_CHECKS,
     _GraphSearch,
+    _MaskImages,
     _SearchPlan,
     _TopologySearch,
     _can_be_le,
     _forced_quartet_cut,
     _groupings_and_checks,
     _mask_edges,
-    _permute_mask_tables,
     _quartet_shape,
     _quartet_shapes,
     graph_automorphisms,
@@ -41,7 +41,12 @@ from leafpower.recognition import (
 )
 from leafpower.tree_metric import _leaf_masks, _leaf_paths
 
-from conftest import is_k_leaf_power_by_literature, orbit_representatives, random_certificate
+from conftest import (
+    automorphisms_by_scan,
+    is_k_leaf_power_by_literature,
+    orbit_representatives,
+    random_certificate,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 C4 = SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
@@ -51,6 +56,14 @@ P8 = SimpleGraph("abcdefgh", list(zip("abcdefg", "bcdefgh")))
 SUN7 = SimpleGraph(
     "abcdefg", [tuple(e) for e in ("ab", "ac", "ad", "ae", "bd", "cd", "ce", "cg", "dg", "fg")]
 )
+
+# the two 8-vertex graphs with certificates of the recognize benchmark, at
+# q = 1 and q = 2; their groups have 8 and 2 automorphisms
+CERT8_Q1 = SimpleGraph("abcdefgh", [tuple(e) for e in ("ab", "ac", "ae", "af", "ag", "bc", "be", "bg", "cg", "eg")])
+CERT8_Q2 = SimpleGraph("abcdefgh", [tuple(e) for e in ("ae", "ah", "ce", "cg", "df", "eh", "fh")])
+SEVEN = range(7)
+EDGELESS7 = SimpleGraph(SEVEN)
+COMPLETE7 = SimpleGraph(SEVEN, itertools.combinations(SEVEN, 2))
 
 # number of series-reduced trees on n labeled leaves (total partitions
 # of an (n-1)-set; standard combinatorial sequence)
@@ -464,6 +477,22 @@ class TestAutomorphisms:
     def test_c4_group_order(self):
         assert len(graph_automorphisms(C4)) == 8  # dihedral group of the square
 
+    def test_matches_the_permutation_scan(self):
+        # the same automorphisms in the same order as the n! scan
+        nx = pytest.importorskip("networkx")
+        graphs = [
+            SimpleGraph(list(g.nodes), list(g.edges))
+            for g in nx.graph_atlas_g()
+            if g.number_of_nodes() <= 6
+        ]
+        graphs += [EDGELESS7, COMPLETE7, non_glp_family(2), CERT8_Q1, CERT8_Q2]
+        sizes = []
+        for graph in graphs:
+            autos = graph_automorphisms(graph)
+            assert autos == automorphisms_by_scan(graph), graph.edge_list()
+            sizes.append(len(autos))
+        assert sizes[-5:] == [5040, 5040, 128, 8, 2]
+
     def test_mask_tables_match_bitwise_reference(self):
         # the image of a mask, read from the other side when it holds leaf 0
         n = 5
@@ -476,7 +505,8 @@ class TestAutomorphisms:
             return r ^ full if r & 1 else r
 
         reference = [[image(perm, m) for m in range(1 << n)] for perm in perms]
-        assert _permute_mask_tables(perms, n) == reference
+        images = [_MaskImages(perm, n) for perm in perms]
+        assert [[table[m] for m in range(1 << n)] for table in images] == reference
 
     def test_orbit_filter_matches_its_definition(self):
         # the yielded topologies are, in order, those whose split key is the
@@ -487,9 +517,7 @@ class TestAutomorphisms:
             for g in nx.graph_atlas_g()
             if 5 <= g.number_of_nodes() <= 6
         ]
-        seven = range(7)
-        graphs += [SimpleGraph(seven), SimpleGraph(seven, itertools.combinations(seven, 2))]
-        graphs.append(non_glp_family(2))
+        graphs += [EDGELESS7, COMPLETE7, non_glp_family(2), CERT8_Q1, CERT8_Q2]
         for graph in graphs:
             expected = orbit_representatives(graph)
             assert list(_GraphSearch(graph).topologies(False)) == expected, graph.edge_list()
@@ -552,6 +580,26 @@ class TestSelfChecks:
         assert out.strip() == "InternalError"
 
 
+def count_orbit_work(monkeypatch):
+    """Counters of the mask images the orbit filter computes and of the
+    split keys it compares with an image, while the test runs."""
+    counts = {"images": 0, "comparisons": 0}
+
+    class CountingImages(recognition._MaskImages):
+        __slots__ = ()
+
+        def __missing__(self, m):
+            counts["images"] += 1
+            return super().__missing__(m)
+
+        def sorts_below(self, key):
+            counts["comparisons"] += 1
+            return super().sorts_below(key)
+
+    monkeypatch.setattr(recognition, "_MaskImages", CountingImages)
+    return counts
+
+
 def count_work(monkeypatch):
     """Counters of the topologies ``iter_topologies`` yields and of the
     ``_TopologySearch`` objects built, while the test runs."""
@@ -579,8 +627,13 @@ class TestOrbitFilter:
 
         The topologies of one graph share each quartet verdict, so the
         closed-form test runs a few thousand times (355,825 when every
-        topology recomputed its own), and no LP is needed."""
+        topology recomputed its own), and no LP is needed.  The orbit test
+        compares a key only with the images of the automorphisms that can
+        map one of its masks onto its first: 27,279 comparisons, where
+        comparing each key that passes the least-image test with every
+        automorphism made about 184,000."""
         counts = count_work(monkeypatch)
+        orbit_work = count_orbit_work(monkeypatch)
         verdicts, lps = [], []
         can_be_le, find_feasible_point = recognition._can_be_le, exactlp.find_feasible_point
 
@@ -598,6 +651,15 @@ class TestOrbitFilter:
         assert counts == {"topologies": 39208, "searches": 688}
         assert len(lps) == 0
         assert len(verdicts) < 5000
+        assert orbit_work["comparisons"] < 40000
+
+    @pytest.mark.parametrize("graph", [EDGELESS7, COMPLETE7], ids=["edgeless", "complete"])
+    def test_symmetric_7_vertex_graphs_build_no_mask_image(self, monkeypatch, graph):
+        # the first topology, the star, has an empty split key and succeeds,
+        # so none of the 5,039 automorphisms ever maps a mask
+        orbit_work = count_orbit_work(monkeypatch)
+        assert recognize_glp(graph, 2) is not None
+        assert orbit_work == {"images": 0, "comparisons": 0}
 
     def test_non_glp_family_2_builds_no_tree(self, monkeypatch):
         # the topologies come as edge leaf masks, so the search never walks
