@@ -59,8 +59,6 @@ from .tree_metric import (
     check_twins_lemma,
     classify_leaf_quartet,
     contract_degree_two,
-    diameter,
-    distance,
     four_point_classify,
     restrict_to_leaves,
 )

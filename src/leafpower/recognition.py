@@ -13,21 +13,20 @@ with the parity edge rule, pruned by an exact four-point-condition
 consistency check on quartets, and surviving assignments are decided by a
 margin-1 exact LP over edge weights and thresholds.
 
-Whatever depends only on the graph and q is built once: the pairs, their
-allowed regions, the branching order and, per quartet, the pair that
-triggers its check and its checks for each of its four shapes
-(``_SearchPlan``), with the verdicts found so far, keyed by the quartet's
-six regions.  A topology only reads its quartet shapes off a per-n table
-of the quartets each edge mask splits (``_split_table``) and runs its DFS;
-the leaf-pair paths are read off the masks only when an LP is built.
-
-At q = 1, and for k-leaf powers, the graph fixes every pair's region, so
-the quartet check depends only on the quartet's shape.  A per-graph table
-of failing shapes then cuts the leaf insertion itself: once a quartet's
-largest leaf is placed its shape never changes, so a failing quartet drops
-every topology grown from that point (``_forced_quartet_cut``).
-``_GraphSearch`` holds what the searches on one graph share: its edges,
-the orbit filter of its automorphisms and that table.
+One ``_SearchPlan`` per graph and q holds whatever depends only on them:
+the pairs, their allowed regions, the branching order and every quartet's
+checks for each of its four shapes.  A quartet whose six pairs each have
+one allowed region (every quartet at q = 1, and at q = 2 those of six
+edges) is forced: its verdicts depend only on its shape, so the plan
+decides them once, and a forced quartet that fails in its shape cuts the
+leaf insertion as soon as its largest leaf is placed.  Every other
+quartet is checked in the plan's DFS over a topology's region
+assignments, with the verdicts found so far shared by all topologies.  A
+topology only reads its quartet shapes off a per-n table of the quartets
+each edge mask splits (``_split_table``); the leaf-pair paths are read
+off the masks only when an LP is built.  ``_GraphSearch`` holds what the
+searches on one graph share: its edges, the orbit filter of its
+automorphisms and one plan per q.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from .glp_core import (
 from .tree_metric import WeightedTree, _leaf_paths
 
 TOPOLOGY_LEAF_CAP = 9  # n! leaf placements explode beyond this at desk scale
+THRESHOLD_CAP = 1000  # a GLP(q) certificate holds q thresholds
 
 
 @dataclass
@@ -157,14 +157,12 @@ def _mask_edges(masks, n: int) -> list:
     return edges
 
 
-def enumerate_topologies(n: int, max_internal: int | None = None) -> TopologyCatalog:
+def enumerate_topologies(n: int) -> TopologyCatalog:
     """Complete duplicate-free catalog; n is capped at desk scale."""
     if n > TOPOLOGY_LEAF_CAP:
         raise CapacityError(f"topology enumeration supports n <= {TOPOLOGY_LEAF_CAP}, got {n}")
     return TopologyCatalog(n, tuple(
-        tuple(sorted(_mask_edges(masks, n)))
-        for masks in iter_topologies(n)
-        if max_internal is None or sum(1 for m in masks if m & (m - 1)) <= max_internal
+        tuple(sorted(_mask_edges(masks, n))) for masks in iter_topologies(n)
     ))
 
 
@@ -378,25 +376,6 @@ _SPLIT_CHECKS = ((1, 2), (2, 1), (0, 1), (0, 2))
 _STAR_CHECKS = tuple(itertools.permutations(range(3), 2))
 
 
-def _quartet_shape(quartet, masks) -> int:
-    """0, 1 or 2 when a topology splits the quartet a < b < c < d as ab|cd,
-    ac|bd or ad|bc, and 3 when the quartet is a star.
-
-    ``masks`` are the leaf masks of the far sides of the topology's edges,
-    seen from any one vertex.  ab|cd is the split exactly when some edge
-    parts a, b from c, d, that is when some mask meets the quartet in
-    {a, b} or in {c, d}.
-    """
-    a = quartet[0]
-    leaves = 1 << a | 1 << quartet[1] | 1 << quartet[2] | 1 << quartet[3]
-    cuts = {m & leaves for m in masks}
-    for shape, v in enumerate(quartet[1:]):
-        pair = 1 << a | 1 << v
-        if pair in cuts or leaves ^ pair in cuts:
-            return shape
-    return 3
-
-
 def _groupings_and_checks(quartet, shape):
     """The quartet's three pair groupings, the split grouping first when
     the shape is a split, and the checks that apply to their sums."""
@@ -411,8 +390,9 @@ def _groupings_and_checks(quartet, shape):
 def _split_table(n: int) -> list:
     """Per leaf mask m over n leaves: the ``(t, shape)`` pairs, t the index
     of a 4-subset in ``itertools.combinations(range(n), 4)``, of the
-    quartets that an edge with far side m splits 2|2, with the shape of
-    ``_quartet_shape``."""
+    quartets that an edge with far side m splits 2|2.  The shape of the
+    quartet a < b < c < d is 0, 1 or 2 when the edge parts it as ab|cd,
+    ac|bd or ad|bc, read off the side of the cut that holds a."""
     table = [[] for _ in range(1 << n)]
     for t, (a, *others) in enumerate(itertools.combinations(range(n), 4)):
         leaves = 1 << a | sum(1 << v for v in others)
@@ -426,7 +406,7 @@ def _split_table(n: int) -> list:
 
 def _quartet_shapes(masks, n: int) -> list:
     """The shape of every 4-subset, in ``itertools.combinations`` order, in
-    the topology whose edge leaf masks are ``masks``: a star unless the
+    the topology whose edge leaf masks are ``masks``: 3, a star, unless the
     split table entry of some mask splits it.  Pendant masks, of one bit
     or n - 1 bits, split no quartet, so only internal edges count."""
     split = _split_table(n)
@@ -442,38 +422,53 @@ def _allowed_regions(is_edge: bool, q: int) -> tuple:
     return tuple(r for r in range(q + 1) if ((q - r) % 2 == 1) == is_edge)
 
 
-def _forced_quartet_cut(n: int, edge_pairs):
-    """The prefix test of ``iter_topologies`` for q = 1 and k-leaf powers,
-    or None when no quartet can fail.
+class _SearchPlan:
+    """The region search on every topology of one graph at one q, compiled
+    once.
 
-    At q = 1 the graph fixes every pair's region: an edge is region 0 and a
-    non-edge region 1 (``_allowed_regions``).  The checks ``_TopologySearch``
-    makes on a quartet then depend only on the quartet's shape in the
-    topology, one of its three splits or a star.  So one table per graph
-    lists, for each 4-subset, the shapes that fail; once leaf k is placed,
-    the test looks up the quartets whose largest leaf is k and that have a
-    failing shape.
+    - ``pairs``: the leaf pairs i < j in ``itertools.combinations`` order;
+    - ``allowed``: each pair's regions under the parity edge rule;
+    - ``order``: the branching order, forced pairs first;
+    - ``prefix_ok``: the prefix test of ``iter_topologies`` that cuts the
+      forced quartets (below) that fail, or None when none fails;
+    - ``by_trigger``: per pair, the other quartets whose six pairs it
+      completes in that order (their trigger), as ``(t, qmask, by_shape)``:
+      the quartet's index, the bits of its six pairs in an assignment code
+      and, per shape of ``_quartet_shapes``, its ``(sums, checks,
+      verdicts)``.
 
-    Soundness.  Let a quartet with largest leaf k fail in the partial
-    topology on leaves 0..k.
+    An assignment code packs pair i's region into bits ``i * width`` and
+    up.  ``verdicts`` maps ``code & qmask`` to whether the six regions
+    pass the shape's checks, so each verdict is computed once per graph
+    and q, for all its topologies.
+
+    Forced quartets.  A quartet is forced when each of its six pairs has one
+    allowed region: every quartet at q = 1, and at q = 2 the quartets of six
+    edges, all in region 1.  Its checks then depend only on its shape in
+    the topology, one of its three splits or a star, so the plan decides
+    each of the four shapes here; once leaf k is placed, ``prefix_ok`` looks
+    up the forced quartets whose largest leaf is k and that have a failing
+    shape.  Nothing is cut at q >= 2, since equal regions pass every check.
+
+    Soundness of the cut.  Let a forced quartet with largest leaf k fail in
+    the partial topology on leaves 0..k.
 
     - Leaf insertion never changes the topology induced on the leaves
       already placed, so the quartet has the same shape, and fails, in
       every topology grown from the partial one.
-    - On such a topology the one region assignment fails that check, so
-      ``_TopologySearch(masks, n, edge_pairs, 1).search()`` is None, without
-      an LP.  The checks are necessary conditions: by the four-point
-      condition (Buneman 1974), in a positively weighted tree the two cross
-      sums of a split quartet are equal and at least its split sum, and
-      the three sums of a star are equal; ``_can_be_le`` says exactly when
-      two sums in given regions can be so ordered for some thresholds.  So
-      no weights and threshold on that topology induce the graph.
+    - On such a topology every region assignment fails that check, so
+      ``search`` returns None.  The checks are necessary conditions: by the
+      four-point condition (Buneman 1974), in a positively weighted tree
+      the two cross sums of a split quartet are equal and at least its
+      split sum, and the three sums of a star are equal; ``_can_be_le``
+      says exactly when two sums in given regions can be so ordered for
+      some thresholds.  So no weights and thresholds on that topology
+      induce the graph.
     - A k-leaf root is a GLP(1) certificate with theta_1 = k, so no
-      topology that is cut carries a k-leaf root either.
+      topology that is cut at q = 1 carries a k-leaf root either.
 
-    A topology whose quartets all pass is never cut, since each test looks
-    only at quartets of placed leaves.  So the topologies that get through
-    are exactly those whose fixed assignment passes every quartet check.
+    A topology whose forced quartets all pass is never cut, since each test
+    looks only at quartets of placed leaves.
 
     Orbits.  An automorphism of the graph maps each pair to a pair in the
     same region, and each quartet and its shape in a topology to the image
@@ -483,46 +478,6 @@ def _forced_quartet_cut(n: int, edge_pairs):
     representatives come through in the same order, less those the search
     rejects anyway: the first topology that succeeds, its certificate and
     the LP calls are those of the search without the cut.
-    """
-    region = {
-        pair: _allowed_regions(pair in edge_pairs, 1)[0]
-        for pair in itertools.combinations(range(n), 2)
-    }
-    failing = [[] for _ in range(n)]  # by largest leaf: (quartet, failing shapes)
-    for quartet in itertools.combinations(range(n), 4):
-        bad = set()
-        for shape in range(4):
-            groupings, checks = _groupings_and_checks(quartet, shape)
-            sums = [(region[p1], region[p2]) for p1, p2 in groupings]
-            if not all(_can_be_le(sums[lo], sums[hi]) for lo, hi in checks):
-                bad.add(shape)
-        if bad:
-            failing[quartet[3]].append((quartet, bad))
-    if not any(failing):
-        return None
-
-    def prefix_ok(k, masks):
-        return all(_quartet_shape(quartet, masks) not in bad for quartet, bad in failing[k])
-
-    return prefix_ok
-
-
-class _SearchPlan:
-    """What the region search on every topology of one graph at one q
-    shares.
-
-    - ``pairs``: the leaf pairs i < j in ``itertools.combinations`` order;
-    - ``allowed``: each pair's regions under the parity edge rule;
-    - ``order``: the branching order, forced pairs first;
-    - ``by_trigger``: per pair, the quartets whose six pairs it completes
-      in that order (their trigger), as ``(t, qmask, by_shape)``: the
-      quartet's index, the bits of its six pairs in an assignment code and,
-      per shape of ``_quartet_shape``, its ``(sums, checks, verdicts)``.
-
-    An assignment code packs pair i's region into bits ``i * width`` and
-    up.  ``verdicts`` maps ``code & qmask`` to whether the six regions
-    pass the shape's checks, so each verdict is computed once per graph
-    and q, for all its topologies.
     """
 
     def __init__(self, n, edge_pairs, q):
@@ -536,16 +491,35 @@ class _SearchPlan:
         when_assigned = {pair_idx: t for t, pair_idx in enumerate(self.order)}
         region_bits = (1 << self.width) - 1
         self.by_trigger = [[] for _ in self.pairs]
+        failing = [[] for _ in range(n)]  # by largest leaf k: (index over leaves 0..k, shapes)
         for t, quartet in enumerate(itertools.combinations(range(n), 4)):
             positions = [pair_pos[p] for p in itertools.combinations(quartet, 2)]
-            trigger = max(positions, key=when_assigned.__getitem__)
-            qmask = sum(region_bits << i * self.width for i in positions)
             by_shape = []
             for shape in range(4):
                 groupings, checks = _groupings_and_checks(quartet, shape)
                 sums = tuple((pair_pos[p1], pair_pos[p2]) for p1, p2 in groupings)
                 by_shape.append((sums, checks, {}))
+            if all(len(self.allowed[i]) == 1 for i in positions):
+                code = sum(self.allowed[i][0] << i * self.width for i in positions)
+                bad = {shape for shape, (sums, checks, _) in enumerate(by_shape)
+                       if not self.passes(code, sums, checks)}
+                if bad:
+                    prefix_quartets = list(itertools.combinations(range(quartet[3] + 1), 4))
+                    failing[quartet[3]].append((prefix_quartets.index(quartet), bad))
+                continue
+            trigger = max(positions, key=when_assigned.__getitem__)
+            qmask = sum(region_bits << i * self.width for i in positions)
             self.by_trigger[trigger].append((t, qmask, by_shape))
+        self.prefix_ok = None
+        if any(failing):
+
+            def prefix_ok(k, masks):
+                if not failing[k]:
+                    return True
+                shapes = _quartet_shapes(masks, k + 1)
+                return all(shapes[t] not in bad for t, bad in failing[k])
+
+            self.prefix_ok = prefix_ok
 
     def region(self, code, pair_idx):
         return code >> pair_idx * self.width & (1 << self.width) - 1
@@ -554,49 +528,43 @@ class _SearchPlan:
         regions = [(self.region(code, i), self.region(code, j)) for i, j in sums]
         return all(_can_be_le(regions[lo], regions[hi]) for lo, hi in checks)
 
+    def search(self, masks):
+        """Edge weights, in mask order, and thresholds that induce the graph
+        on the topology whose edge leaf masks are ``masks``, or None.
 
-class _TopologySearch:
-    """Backtracking region-assignment search for one topology: it reads its
-    quartet shapes and runs its DFS over the graph's ``_SearchPlan``."""
+        A DFS assigns the pairs their regions in ``order``, checks each
+        quartet of ``by_trigger`` once the last of its six pairs is
+        assigned, and decides each full assignment by an exact LP."""
+        shapes = _quartet_shapes(masks, self.n)
+        order, allowed, by_trigger, width = self.order, self.allowed, self.by_trigger, self.width
 
-    def __init__(self, masks, plan):
-        self.masks = masks
-        self.plan = plan
-        self.shapes = _quartet_shapes(masks, plan.n)
+        def quartets_ok(pair_idx, code):
+            for t, qmask, by_shape in by_trigger[pair_idx]:
+                sums, checks, verdicts = by_shape[shapes[t]]
+                key = code & qmask
+                ok = verdicts.get(key)
+                if ok is None:
+                    ok = verdicts[key] = self.passes(code, sums, checks)
+                if not ok:
+                    return False
+            return True
 
-    def _quartets_ok(self, pair_idx, code) -> bool:
-        """Do the quartets that ``pair_idx`` triggers pass their checks in
-        the assignment ``code``?  Each quartet is checked once, when the
-        last of its six pairs gets assigned."""
-        shapes, plan = self.shapes, self.plan
-        for t, qmask, by_shape in plan.by_trigger[pair_idx]:
-            sums, checks, verdicts = by_shape[shapes[t]]
-            key = code & qmask
-            ok = verdicts.get(key)
-            if ok is None:
-                ok = verdicts[key] = plan.passes(code, sums, checks)
-            if not ok:
-                return False
-        return True
+        def dfs(depth, code):
+            if depth == len(order):
+                return self._solve_lp(masks, code)
+            pair_idx = order[depth]
+            shift = pair_idx * width
+            for region in allowed[pair_idx]:
+                assigned = code | region << shift
+                if quartets_ok(pair_idx, assigned):
+                    result = dfs(depth + 1, assigned)
+                    if result is not None:
+                        return result
+            return None
 
-    def search(self):
-        return self._dfs(0, 0)
+        return dfs(0, 0)
 
-    def _dfs(self, depth, code):
-        plan = self.plan
-        if depth == len(plan.order):
-            return self._solve_lp(code)
-        pair_idx = plan.order[depth]
-        shift = pair_idx * plan.width
-        for region in plan.allowed[pair_idx]:
-            assigned = code | region << shift
-            if self._quartets_ok(pair_idx, assigned):
-                result = self._dfs(depth + 1, assigned)
-                if result is not None:
-                    return result
-        return None
-
-    def _solve_lp(self, code):
+    def _solve_lp(self, masks, code):
         """Exact feasibility for the full assignment ``code``.
 
         Variables (all >= 0 after shifting):
@@ -606,12 +574,11 @@ class _TopologySearch:
         margin-1 constraint (no solutions are lost: the system is
         scale-invariant).
         """
-        plan = self.plan
-        m, q = len(self.masks), plan.q
-        paths = _leaf_paths(self.masks, plan.n)
+        m, q = len(masks), self.q
+        paths = _leaf_paths(masks, self.n)
         constraints = []
-        for pos, pair in enumerate(plan.pairs):
-            r = plan.region(code, pos)
+        for pos, pair in enumerate(self.pairs):
+            r = self.region(code, pos)
             path = paths[pair]
             base = len(path)  # contribution of the +1 shifts
             if r >= 1:
@@ -654,8 +621,8 @@ def _tree_from(masks, labels, weights) -> WeightedTree:
 class _GraphSearch:
     """The exhaustive searches on one graph.  They share what depends only
     on the graph: its edges as leaf-index pairs, the orbit filter of its
-    automorphisms and, once a q = 1 or k-leaf search asks for it, the
-    forced-quartet cut."""
+    automorphisms and one ``_SearchPlan`` per q, built when a search first
+    asks for it (the k-leaf searches use the q = 1 plan's cut)."""
 
     def __init__(self, graph: SimpleGraph):
         n = len(graph)
@@ -668,28 +635,30 @@ class _GraphSearch:
         self.edge_pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
         autos = [p for p in graph_automorphisms(graph) if p != tuple(range(n))]
         self.orbits = _OrbitFilter(autos, n) if autos else None
+        self.plans = {}
 
-    @functools.cached_property
-    def forced_cut(self):
-        return _forced_quartet_cut(self.n, self.edge_pairs)
+    def plan(self, q: int) -> _SearchPlan:
+        if q not in self.plans:
+            self.plans[q] = _SearchPlan(self.n, self.edge_pairs, q)
+        return self.plans[q]
 
-    def topologies(self, q1: bool):
-        """The topologies of ``iter_topologies`` on the graph's vertices, one
-        per orbit, cut by ``_forced_quartet_cut`` when ``q1``.
+    def topologies(self, prefix_ok):
+        """The topologies of ``iter_topologies(n, prefix_ok)`` on the graph's
+        vertices, one per orbit.
 
         An automorphism of the graph maps a topology that works onto one
         that works, so of each orbit only the topology with the least split
         key (``_OrbitFilter``) is yielded.
         """
         orbits = self.orbits
-        for masks in iter_topologies(self.n, self.forced_cut if q1 else None):
+        for masks in iter_topologies(self.n, prefix_ok):
             if orbits is None or orbits.is_representative(masks):
                 yield masks
 
     def glp(self, q: int) -> GlpCertificate | None:
-        plan = _SearchPlan(self.n, self.edge_pairs, q)
-        for masks in self.topologies(q == 1):
-            result = _TopologySearch(masks, plan).search()
+        plan = self.plan(q)
+        for masks in self.topologies(plan.prefix_ok):
+            result = plan.search(masks)
             if result is not None:
                 weights, thetas = result
                 tree = _tree_from(masks, self.labels, weights)
@@ -700,7 +669,7 @@ class _GraphSearch:
         return None
 
     def k_leaf_root(self, k: int) -> WeightedTree | None:
-        for masks in self.topologies(True):
+        for masks in self.topologies(self.plan(1).prefix_ok):
             m = len(masks)
             constraints = [({e: 1}, exactlp.GE, 1) for e in range(m)]
             ok_shape = True
@@ -733,9 +702,20 @@ def recognize_glp(
     Returns an integerized certificate from the first feasible topology in
     orbit-reduced canonical enumeration order, or None when no weighted
     tree and threshold sequence exist.
+
+    On n vertices GLP(q) = GLP(q - 2) once q > C(n, 2) + 1.  The C(n, 2)
+    pair distances take at most C(n, 2) + 1 distinct sets of pairs at or
+    below a threshold, so two consecutive thresholds count the same pairs
+    and dropping both keeps every parity; two thresholds above every
+    distance put them back.  So the search runs at the largest order
+    q* <= C(n, 2) + 1 of q's parity, and the q - q* missing thresholds are
+    added at or above the certificate's largest distance and above its
+    largest threshold, where every pair counts all of them, an even number.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    if q > THRESHOLD_CAP:
+        raise CapacityError(f"q={q} exceeds the threshold cap of {THRESHOLD_CAP}")
     limits = limits or DEFAULT_LIMITS
     n = len(graph)
     cap = limits.cap_for(q)
@@ -744,9 +724,21 @@ def recognize_glp(
     if n == 1:
         thetas = tuple(Fraction(k + 1) for k in range(q))
         return GlpCertificate(_tree_from((), list(graph.vertices), ()), ThresholdSequence(thetas))
-    if q == 1 and not is_chordal(graph):
+    top = math.comb(n, 2) + 1
+    q_star = q if q <= top else top - (q - top) % 2
+    if q_star == 1 and not is_chordal(graph):
         return None
-    return _GraphSearch(graph).glp(q)
+    cert = _GraphSearch(graph).glp(q_star)
+    if cert is None or q_star == q:
+        return cert
+    thetas = cert.thresholds.thresholds
+    start = max(cert.tree.diameter(), thetas[-1] + 1)
+    cert = GlpCertificate(
+        cert.tree, ThresholdSequence(thetas + tuple(start + i for i in range(q - q_star)))
+    )
+    if graph_from_certificate(cert) != graph:
+        raise InternalError("recognize_glp: the padded certificate induces another graph")
+    return cert
 
 
 # ---------------------------------------------------------------------------

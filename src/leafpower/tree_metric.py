@@ -272,14 +272,6 @@ class QuartetVerdict:
     sums: tuple
 
 
-def distance(tree: WeightedTree, a, b) -> Fraction:
-    return tree.distance(a, b)
-
-
-def diameter(tree: WeightedTree) -> Fraction:
-    return tree.diameter()
-
-
 def _metric_lookup(d: Mapping, points):
     def get(a, b):
         if a == b:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from leafpower import InternalError, SimpleGraph, WeightedTree, toc_from_tree
-from leafpower import cli, reductions
+from leafpower import cli, recognition, reductions
 from leafpower.cli import main
 
 from conftest import random_weighted_tree
@@ -189,6 +189,24 @@ def test_usage_errors(capsys, tmp_path):
     bad.write_text("{not json")
     assert run(capsys, "recognize", str(bad), "-q", "1")[0] == 2
     assert run(capsys, "recognize", str(tmp_path / "nope.json"), "-q", "1")[0] == 2
+
+
+def test_recognize_large_q(capsys, monkeypatch, tmp_path):
+    # q = 300 on 5 vertices searches at q = 11 and pads the certificate;
+    # a q over the threshold cap exits 3 before any search
+    vs = "abcde"
+    path = tmp_path / "c5.json"
+    path.write_text(SimpleGraph(vs, zip(vs, vs[1:] + vs[0])).to_json())
+    code, out, _ = run(capsys, "recognize", str(path), "-q", "300")
+    assert code == 0 and len(json.loads(out)["thresholds"]) == 300
+
+    def no_search(graph):
+        raise AssertionError("searched a graph at an over-cap q")
+
+    monkeypatch.setattr(recognition, "_GraphSearch", no_search)
+    cap = str(recognition.THRESHOLD_CAP + 1)
+    code, out, err = run(capsys, "recognize", str(path), "-q", cap)
+    assert code == 3 and out == "" and "threshold cap" in err
 
 
 def test_capacity_exit_code(capsys, tmp_path):

@@ -29,12 +29,9 @@ from leafpower.recognition import (
     _GraphSearch,
     _MaskImages,
     _SearchPlan,
-    _TopologySearch,
     _can_be_le,
-    _forced_quartet_cut,
     _groupings_and_checks,
     _mask_edges,
-    _quartet_shape,
     _quartet_shapes,
     graph_automorphisms,
     iter_topologies,
@@ -50,6 +47,7 @@ from conftest import (
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 C4 = SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+C5 = SimpleGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
 P8 = SimpleGraph("abcdefgh", list(zip("abcdefg", "bcdefgh")))
 # chordal, with an induced 3-sun (triangle a, c, d; b, e, g on its sides),
 # so not a leaf power
@@ -68,6 +66,8 @@ COMPLETE7 = SimpleGraph(SEVEN, itertools.combinations(SEVEN, 2))
 # number of series-reduced trees on n labeled leaves (total partitions
 # of an (n-1)-set; standard combinatorial sequence)
 KNOWN_COUNTS = {2: 1, 3: 1, 4: 4, 5: 26, 6: 236, 7: 2752}
+# per n: the star quartets and all quartets over the topologies on n leaves
+STARS_AND_QUARTETS = {4: (1, 4), 5: (25, 130), 6: (570, 3540), 7: (13580, 96320), 8: (348040, 2744560)}
 
 
 def split_key(edges, n):
@@ -138,10 +138,6 @@ class TestTopologies:
             assert _leaf_masks(edges, range(n)) == list(masks)
         assert count == KNOWN_COUNTS[n]
 
-    def test_max_internal_filter(self):
-        cat = enumerate_topologies(5, max_internal=1)
-        assert len(cat.topologies) == 1  # only the star survives
-
     def test_capacity(self):
         with pytest.raises(CapacityError):
             enumerate_topologies(15)
@@ -163,10 +159,10 @@ class TestTopologies:
     def test_eight_leaf_count(self):
         assert sum(1 for _ in iter_topologies(8)) == 39208
 
-    def test_quartet_shapes_match_oracle(self):
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+    def test_quartet_shapes_match_oracle(self, n):
         # a quartet is a star exactly when no split cuts it 2|2; otherwise
         # its split grouping comes first
-        n = 7
         quartets = stars = 0
         for masks in iter_topologies(n):
             splits = split_key(_mask_edges(masks, n), n)
@@ -183,13 +179,7 @@ class TestTopologies:
                 else:
                     assert checks is _STAR_CHECKS
                     stars += 1
-        assert (stars, quartets) == (13580, 96320)
-
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
-    def test_split_table_shapes_match_quartet_shape(self, n):
-        quartets = list(itertools.combinations(range(n), 4))
-        for masks in iter_topologies(n):
-            assert _quartet_shapes(masks, n) == [_quartet_shape(qt, masks) for qt in quartets]
+        assert (stars, quartets) == STARS_AND_QUARTETS[n]
 
 
 class TestRecognize:
@@ -243,8 +233,7 @@ class TestRecognize:
     def test_chordality_filter_never_wrong(self):
         # run the raw search with no chordality shortcut on non-chordal
         # graphs; it must agree with the filtered answer (none)
-        c5 = SimpleGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
-        for g in (C4, c5):
+        for g in (C4, C5):
             assert not is_chordal(g)
             assert recognize_glp(g, 1) is None
             n = len(g)
@@ -255,7 +244,7 @@ class TestRecognize:
             plan = _SearchPlan(n, edges_idx, 1)
             found = False
             for masks in iter_topologies(n):
-                if _TopologySearch(masks, plan).search():
+                if plan.search(masks):
                     found = True
                     break
             assert not found
@@ -272,6 +261,29 @@ class TestRecognize:
             for q in (2, 3):
                 cert = recognize_glp(graph, q)
                 assert cert is not None and verify_certificate(graph, cert), (q, list(g.edges))
+
+
+class TestOrderReduction:
+    def test_c5_at_q300(self):
+        # searched at q = 11, the largest order <= C(5, 2) + 1 of q's parity,
+        # then padded to 300 thresholds
+        cert = recognize_glp(C5, 300)
+        assert cert is not None and cert.order == 300
+        assert verify_certificate(C5, cert)
+
+    def test_matches_the_unreduced_search(self):
+        # GLP(q) = GLP(q - 2) on n vertices once q > C(n, 2) + 1
+        nx = pytest.importorskip("networkx")
+        atlas = [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 4]
+        assert len(atlas) == 18
+        for g in atlas:
+            graph = SimpleGraph(list(g.nodes), list(g.edges))
+            n = len(graph)
+            for q in range(1, n * (n - 1) // 2 + 4):
+                cert = recognize_glp(graph, q)
+                expected = _GraphSearch(graph).glp(q) is not None
+                assert (cert is not None) == expected, (q, list(g.edges))
+                assert cert is None or (cert.order == q and verify_certificate(graph, cert))
 
 
 def own_topology(cert):
@@ -302,7 +314,7 @@ class TestQuartetPruning:
             searched += 1
             masks, n, pairs = own_topology(cert)
             plan = _SearchPlan(n, pairs, cert.order)
-            assert _TopologySearch(masks, plan).search() is not None
+            assert plan.search(masks) is not None
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_can_be_le_matches_lp(self, q):
@@ -520,7 +532,7 @@ class TestAutomorphisms:
         graphs += [EDGELESS7, COMPLETE7, non_glp_family(2), CERT8_Q1, CERT8_Q2]
         for graph in graphs:
             expected = orbit_representatives(graph)
-            assert list(_GraphSearch(graph).topologies(False)) == expected, graph.edge_list()
+            assert list(_GraphSearch(graph).topologies(None)) == expected, graph.edge_list()
 
     def test_edgeless(self):
         g = SimpleGraph("abc")
@@ -602,22 +614,22 @@ def count_orbit_work(monkeypatch):
 
 def count_work(monkeypatch):
     """Counters of the topologies ``iter_topologies`` yields and of the
-    ``_TopologySearch`` objects built, while the test runs."""
+    topologies ``_SearchPlan.search`` is asked about, while the test runs."""
     counts = {"topologies": 0, "searches": 0}
     topologies = recognition.iter_topologies
+    search = recognition._SearchPlan.search
 
     def counting_topologies(*args):
         for masks in topologies(*args):
             counts["topologies"] += 1
             yield masks
 
-    class CountingSearch(recognition._TopologySearch):
-        def __init__(self, *args):
-            counts["searches"] += 1
-            super().__init__(*args)
+    def counting_search(plan, masks):
+        counts["searches"] += 1
+        return search(plan, masks)
 
     monkeypatch.setattr(recognition, "iter_topologies", counting_topologies)
-    monkeypatch.setattr(recognition, "_TopologySearch", CountingSearch)
+    monkeypatch.setattr(recognition._SearchPlan, "search", counting_search)
     return counts
 
 
@@ -681,7 +693,7 @@ class TestOrbitFilter:
 
     def test_p8_q1_search_count(self, monkeypatch):
         # the forced-quartet cut leaves one topology, which succeeds;
-        # without it every one of the 19,864 orbit representatives was built
+        # without it every one of the 19,864 orbit representatives was searched
         counts = count_work(monkeypatch)
         assert recognize_glp(P8, 1) is not None
         assert counts["searches"] == 1
@@ -697,12 +709,22 @@ def index_pairs(graph):
     return {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
 
 
-def passes_every_quartet(masks, plan):
-    """Does the one q = 1 region assignment of this topology pass all of
-    the search's quartet checks?"""
-    code = sum(allowed[0] << i * plan.width for i, allowed in enumerate(plan.allowed))
-    search = _TopologySearch(masks, plan)
-    return all(search._quartets_ok(i, code) for i in range(len(plan.pairs)))
+def passes_every_quartet(masks, n, pairs):
+    """Does the one q = 1 region assignment of this topology, 0 on an edge
+    and 1 on a non-edge, pass every quartet check?  Each quartet's shape is
+    read off the topology's splits, outside the search plan."""
+    splits = split_key(_mask_edges(masks, n), n)
+    for quartet in itertools.combinations(range(n), 4):
+        cuts = [side & set(quartet) for side in splits]
+        shape = 3
+        for k, v in enumerate(quartet[1:]):
+            if {quartet[0], v} in cuts or set(quartet) - {quartet[0], v} in cuts:
+                shape = k
+        groupings, checks = _groupings_and_checks(quartet, shape)
+        sums = [tuple(0 if p in pairs else 1 for p in grouping) for grouping in groupings]
+        if not all(_can_be_le(sums[lo], sums[hi]) for lo, hi in checks):
+            return False
+    return True
 
 
 class TestForcedQuartetCut:
@@ -719,17 +741,44 @@ class TestForcedQuartetCut:
         for graph in graphs:
             n, pairs = len(graph), index_pairs(graph)
             plan = _SearchPlan(n, pairs, 1)
-            prefix_ok = _forced_quartet_cut(n, pairs)
-            kept = set(iter_topologies(n, prefix_ok))
+            kept = set(iter_topologies(n, plan.prefix_ok))
             passing = set()
             for masks in iter_topologies(n):
                 if masks not in kept:
                     dropped_total += 1
-                    assert _TopologySearch(masks, plan).search() is None
-                if passes_every_quartet(masks, plan):
+                    assert plan.search(masks) is None
+                if passes_every_quartet(masks, n, pairs):
                     passing.add(masks)
             assert kept == passing
         assert dropped_total > 0
 
     def test_graph_with_no_failing_quartet_gets_no_cut(self):
-        assert _forced_quartet_cut(5, set(itertools.combinations(range(5), 2))) is None
+        assert _SearchPlan(5, set(itertools.combinations(range(5), 2)), 1).prefix_ok is None
+
+    def test_nothing_is_cut_above_q1(self):
+        # a forced quartet at q = 2 has six edges, all in region 1, and
+        # equal regions pass every check; at q = 3 no pair is forced
+        nx = pytest.importorskip("networkx")
+        graphs = [
+            SimpleGraph(list(g.nodes), list(g.edges))
+            for g in nx.graph_atlas_g()
+            if g.number_of_nodes() <= 6
+        ]
+        graphs.append(SimpleGraph(range(8), itertools.combinations(range(8), 2)))
+        for graph in graphs:
+            n, pairs = len(graph), index_pairs(graph)
+            for q in (2, 3):
+                assert _SearchPlan(n, pairs, q).prefix_ok is None, (q, graph.edge_list())
+
+    def test_leaf_rank_builds_one_plan(self, monkeypatch):
+        # the GLP(1) search and every k-leaf search share the q = 1 plan
+        plans = []
+
+        class CountingPlan(recognition._SearchPlan):
+            def __init__(self, *args):
+                plans.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(recognition, "_SearchPlan", CountingPlan)
+        assert leaf_rank(P8) == 3
+        assert len(plans) == 1

@@ -62,4 +62,4 @@ def test_7_vertex_orbit_filters_match_their_definition():
     for g in atlas7():
         graph = SimpleGraph(list(g.nodes), list(g.edges))
         expected = orbit_representatives(graph)
-        assert list(_GraphSearch(graph).topologies(False)) == expected, list(g.edges)
+        assert list(_GraphSearch(graph).topologies(None)) == expected, list(g.edges)

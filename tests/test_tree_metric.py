@@ -18,8 +18,6 @@ from leafpower import (
     check_twins_lemma,
     classify_leaf_quartet,
     contract_degree_two,
-    diameter,
-    distance,
     four_point_classify,
     restrict_to_leaves,
 )
@@ -47,9 +45,9 @@ def dijkstra_oracle(tree, src):
 class TestWeightedTree:
     def test_path_sum(self):
         t = WeightedTree([("a", "m", 2), ("m", "b", 3)], {"a": "a", "b": "b"})
-        assert distance(t, "a", "b") == 5
-        assert distance(t, "a", "a") == 0
-        assert distance(t, "b", "a") == 5
+        assert t.distance("a", "b") == 5
+        assert t.distance("a", "a") == 0
+        assert t.distance("b", "a") == 5
 
     def test_unknown_label(self):
         t = WeightedTree([("a", "b", 1)], {"a": "a", "b": "b"})
@@ -111,7 +109,7 @@ class TestWeightedTree:
             [("c", "a", 1), ("c", "b", 2), ("c", "d", 3)],
             {"a": "a", "b": "b", "d": "d"},
         )
-        assert diameter(t) == 5
+        assert t.diameter() == 5
 
     def test_diameter_single_edge(self):
         t = WeightedTree([("a", "b", 7)], {"a": "a", "b": "b"})
