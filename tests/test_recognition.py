@@ -97,6 +97,17 @@ def split_key(edges, n):
     return frozenset(key)
 
 
+def quartet_shape(quartet, splits):
+    """0, 1 or 2 when one of the splits (leaf sets of one side of an edge)
+    parts the quartet a < b < c < d as ab|cd, ac|bd or ad|bc, else 3."""
+    cuts = [side & set(quartet) for side in splits]
+    for shape, v in enumerate(quartet[1:]):
+        pair = {quartet[0], v}
+        if pair in cuts or set(quartet) - pair in cuts:
+            return shape
+    return 3
+
+
 class TestTopologies:
     def test_single_edge(self):
         cat = enumerate_topologies(2)
@@ -159,10 +170,10 @@ class TestTopologies:
     def test_eight_leaf_count(self):
         assert sum(1 for _ in iter_topologies(8)) == 39208
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
-    def test_quartet_shapes_match_oracle(self, n):
+    def test_quartet_shapes_match_oracle(self):
         # a quartet is a star exactly when no split cuts it 2|2; otherwise
         # its split grouping comes first
+        n = 7
         quartets = stars = 0
         for masks in iter_topologies(n):
             splits = split_key(_mask_edges(masks, n), n)
@@ -180,6 +191,20 @@ class TestTopologies:
                     assert checks is _STAR_CHECKS
                     stars += 1
         assert (stars, quartets) == STARS_AND_QUARTETS[n]
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+    def test_split_table_shapes_match_quartet_shape(self, n):
+        # the split table's shapes against the shape read off the
+        # topology's splits, and the star count over all quartets
+        quartets = list(itertools.combinations(range(n), 4))
+        stars = total = 0
+        for masks in iter_topologies(n):
+            splits = split_key(_mask_edges(masks, n), n)
+            shapes = [quartet_shape(quartet, splits) for quartet in quartets]
+            assert _quartet_shapes(masks, n) == shapes
+            stars += shapes.count(3)
+            total += len(shapes)
+        assert (stars, total) == STARS_AND_QUARTETS[n]
 
 
 class TestRecognize:
@@ -715,12 +740,7 @@ def passes_every_quartet(masks, n, pairs):
     read off the topology's splits, outside the search plan."""
     splits = split_key(_mask_edges(masks, n), n)
     for quartet in itertools.combinations(range(n), 4):
-        cuts = [side & set(quartet) for side in splits]
-        shape = 3
-        for k, v in enumerate(quartet[1:]):
-            if {quartet[0], v} in cuts or set(quartet) - {quartet[0], v} in cuts:
-                shape = k
-        groupings, checks = _groupings_and_checks(quartet, shape)
+        groupings, checks = _groupings_and_checks(quartet, quartet_shape(quartet, splits))
         sums = [tuple(0 if p in pairs else 1 for p in grouping) for grouping in groupings]
         if not all(_can_be_le(sums[lo], sums[hi]) for lo, hi in checks):
             return False
