@@ -30,8 +30,6 @@ from .glp_core import (
 from .rational import Rational, format_rational, parse_rational
 from .recognition import (
     RecognitionLimits,
-    TopologyCatalog,
-    enumerate_topologies,
     is_k_leaf_power,
     leaf_rank,
     recognize_glp,

@@ -2,8 +2,9 @@
 
 Machine-readable JSON goes to stdout, diagnostics to stderr.  Exit codes:
 0 success/PASS, 1 valid negative answer (NONE/FAIL), 2 usage or format
-error, 3 capacity exceeded, 4 internal error (a failed self-check: a bug,
-never an answer).  Rationals are serialized as "p/q" strings.
+error, 3 capacity or k ceiling exceeded, 4 internal error (a failed
+self-check: a bug, never an answer).  Rationals are serialized as "p/q"
+strings.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .glp_core import (
     verify_certificate,
 )
 from .rational import format_rational, parse_rational
-from .recognition import RecognitionLimits, is_k_leaf_power, leaf_rank, recognize_glp
+from .recognition import DEFAULT_LIMITS, RecognitionLimits, is_k_leaf_power, leaf_rank, recognize_glp
 from .reductions import (
     GadgetGraph,
     TocInstance,
@@ -174,15 +175,7 @@ _positive_int = _int_at_least(1)
 
 
 def _limits(args) -> RecognitionLimits:
-    limits = RecognitionLimits()
-    if args.max_leaves is not None:
-        limits.max_leaves_q1 = args.max_leaves
-        limits.max_leaves_q2 = args.max_leaves
-        limits.max_leaves_q3 = args.max_leaves
-        limits.max_leaves_other = args.max_leaves
-    if getattr(args, "ceiling", None) is not None:
-        limits.leaf_rank_ceiling = args.ceiling
-    return limits
+    return RecognitionLimits(args.max_leaves, getattr(args, "ceiling", None) or DEFAULT_LIMITS.k_ceiling)
 
 
 def _cmd_recognize(args) -> int:

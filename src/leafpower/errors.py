@@ -34,7 +34,7 @@ class CapacityError(LeafPowerError):
 
 
 class CeilingExceededError(LeafPowerError):
-    """Leaf-rank search passed its ceiling without an answer."""
+    """A k-leaf search would pass its k ceiling."""
 
 
 class TocFormatError(LeafPowerError):

@@ -14,19 +14,22 @@ consistency check on quartets, and surviving assignments are decided by a
 margin-1 exact LP over edge weights and thresholds.
 
 One ``_SearchPlan`` per graph and q holds whatever depends only on them:
-the pairs, their allowed regions, the branching order and every quartet's
-checks for each of its four shapes.  A quartet whose six pairs each have
-one allowed region (every quartet at q = 1, and at q = 2 those of six
-edges) is forced: its verdicts depend only on its shape, so the plan
-decides them once, and a forced quartet that fails in its shape cuts the
-leaf insertion as soon as its largest leaf is placed.  Every other
-quartet is checked in the plan's DFS over a topology's region
-assignments, with the verdicts found so far shared by all topologies.  A
-topology only reads its quartet shapes off a per-n table of the quartets
-each edge mask splits (``_split_table``); the leaf-pair paths are read
-off the masks only when an LP is built.  ``_GraphSearch`` holds what the
-searches on one graph share: its edges, the orbit filter of its
-automorphisms and one plan per q.
+the pairs, their allowed regions, the code of the forced pairs (those
+with one allowed region), the branching order of the others, every
+quartet's checks for each of its four shapes and the LP rows of an
+assignment.  A quartet whose six pairs are forced (every quartet at
+q = 1, and at q = 2 those of six edges) has verdicts that depend only on
+its shape, so the plan decides them once, and a forced quartet that
+fails in its shape cuts the leaf insertion as soon as its largest leaf
+is placed.  Every other quartet is checked in the plan's DFS over the
+free pairs' regions, with the verdicts found so far shared by all
+topologies.  A topology only reads its quartet shapes off a per-n table
+of the quartets each edge mask splits (``_split_table``); the leaf-pair
+paths are read off the masks only when an LP is built.  A k-leaf root is
+a GLP(1) certificate with integer weights and theta_1 = k, so the k-leaf
+search runs an integer program on the q = 1 plan's rows.
+``_GraphSearch`` holds what the searches on one graph share: its edges,
+the orbit filter of its automorphisms and one plan per q.
 """
 
 from __future__ import annotations
@@ -55,35 +58,33 @@ TOPOLOGY_LEAF_CAP = 9  # n! leaf placements explode beyond this at desk scale
 THRESHOLD_CAP = 1000  # a GLP(q) certificate holds q thresholds
 
 
+_DEFAULT_LEAF_CAPS = {1: 8, 2: 8, 3: 6}  # per q; 5 leaves for every larger q
+
+
 @dataclass
 class RecognitionLimits:
-    """Size caps for the brute-force searches (configuration, not constants)."""
+    """Size caps for the brute-force searches (configuration, not constants).
 
-    max_leaves_q1: int = 8
-    max_leaves_q2: int = 8
-    max_leaves_q3: int = 6
-    max_leaves_other: int = 5
-    leaf_rank_ceiling: int = 64
+    ``max_leaves`` caps the vertices at every q; None keeps the default
+    caps per q (the k-leaf searches use the q = 1 cap).  ``k_ceiling``
+    bounds the k of ``leaf_rank`` and ``is_k_leaf_power``.
+    """
+
+    max_leaves: int | None = None
+    k_ceiling: int = 64
 
     def cap_for(self, q: int) -> int:
-        caps = {1: self.max_leaves_q1, 2: self.max_leaves_q2, 3: self.max_leaves_q3}
-        return caps.get(q, self.max_leaves_other)
+        if self.max_leaves is not None:
+            return self.max_leaves
+        return _DEFAULT_LEAF_CAPS.get(q, 5)
+
+    def check_size(self, n: int, q: int) -> None:
+        cap = self.cap_for(q)
+        if n > cap:
+            raise CapacityError(f"{n} vertices exceeds the q={q} cap of {cap}")
 
 
 DEFAULT_LIMITS = RecognitionLimits()
-
-
-@dataclass(frozen=True)
-class TopologyCatalog:
-    """All series-reduced unrooted topologies on n labeled leaves.
-
-    Topologies are sorted tuples of ``(u, v)`` edges, u < v, over integer
-    vertex ids: leaves are 0..n-1, internal vertices are n, n+1, ...  No
-    two entries are equal under leaf-label-preserving isomorphism.
-    """
-
-    n_leaves: int
-    topologies: tuple
 
 
 def iter_topologies(n: int, _prefix_ok=None) -> Iterator[tuple]:
@@ -155,15 +156,6 @@ def _mask_edges(masks, n: int) -> list:
         above = [p for p in masks if p & m == m and p != m]
         edges.append(tuple(sorted((far[m], far[min(above)] if above else 0))))
     return edges
-
-
-def enumerate_topologies(n: int) -> TopologyCatalog:
-    """Complete duplicate-free catalog; n is capped at desk scale."""
-    if n > TOPOLOGY_LEAF_CAP:
-        raise CapacityError(f"topology enumeration supports n <= {TOPOLOGY_LEAF_CAP}, got {n}")
-    return TopologyCatalog(n, tuple(
-        tuple(sorted(_mask_edges(masks, n))) for masks in iter_topologies(n)
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +414,29 @@ def _allowed_regions(is_edge: bool, q: int) -> tuple:
     return tuple(r for r in range(q + 1) if ((q - r) % 2 == 1) == is_edge)
 
 
+@functools.cache
+def _checks_pass(sum_regions, checks) -> bool:
+    """Do a quartet's three pair sums, each given by the regions of its two
+    pairs, pass ``checks``?  The answer depends only on these tuples, so it
+    is computed once per process."""
+    return all(_can_be_le(sum_regions[lo], sum_regions[hi]) for lo, hi in checks)
+
+
 class _SearchPlan:
     """The region search on every topology of one graph at one q, compiled
-    once.
+    once.  It is the only owner of the pairs' regions and of the LP rows.
 
     - ``pairs``: the leaf pairs i < j in ``itertools.combinations`` order;
     - ``allowed``: each pair's regions under the parity edge rule;
-    - ``order``: the branching order, forced pairs first;
+    - ``forced_code``: the assignment code of the forced pairs, those with
+      one allowed region; every assignment the search tries extends it;
+    - ``order``: the branching order of the free pairs, those with fewer
+      allowed regions first;
     - ``prefix_ok``: the prefix test of ``iter_topologies`` that cuts the
       forced quartets (below) that fail, or None when none fails;
-    - ``by_trigger``: per pair, the other quartets whose six pairs it
-      completes in that order (their trigger), as ``(t, qmask, by_shape)``:
-      the quartet's index, the bits of its six pairs in an assignment code
+    - ``by_trigger``: per pair, the other quartets whose last free pair in
+      ``order`` it is (their trigger), as ``(t, qmask, by_shape)``: the
+      quartet's index, the bits of its six pairs in an assignment code
       and, per shape of ``_quartet_shapes``, its ``(sums, checks,
       verdicts)``.
 
@@ -442,13 +445,14 @@ class _SearchPlan:
     pass the shape's checks, so each verdict is computed once per graph
     and q, for all its topologies.
 
-    Forced quartets.  A quartet is forced when each of its six pairs has one
-    allowed region: every quartet at q = 1, and at q = 2 the quartets of six
-    edges, all in region 1.  Its checks then depend only on its shape in
-    the topology, one of its three splits or a star, so the plan decides
-    each of the four shapes here; once leaf k is placed, ``prefix_ok`` looks
-    up the forced quartets whose largest leaf is k and that have a failing
-    shape.  Nothing is cut at q >= 2, since equal regions pass every check.
+    Forced quartets.  A quartet is forced when its six pairs are: every
+    quartet at q = 1, and at q = 2 the quartets of six edges, all in
+    region 1.  Its checks then depend only on its shape in the topology,
+    one of its three splits or a star, so the plan decides each of the
+    four shapes here, at ``forced_code``; once leaf k is placed,
+    ``prefix_ok`` looks up the forced quartets whose largest leaf is k and
+    that have a failing shape.  Nothing is cut at q >= 2, since equal
+    regions pass every check.
 
     Soundness of the cut.  Let a forced quartet with largest leaf k fail in
     the partial topology on leaves 0..k.
@@ -487,7 +491,10 @@ class _SearchPlan:
         self.pairs = list(itertools.combinations(range(n), 2))
         pair_pos = {p: i for i, p in enumerate(self.pairs)}
         self.allowed = [_allowed_regions(p in edge_pairs, q) for p in self.pairs]
-        self.order = sorted(range(len(self.pairs)), key=lambda i: (len(self.allowed[i]), i))
+        ranked = sorted(range(len(self.pairs)), key=lambda i: (len(self.allowed[i]), i))
+        forced = [i for i in ranked if len(self.allowed[i]) == 1]
+        self.forced_code = sum(self.allowed[i][0] << i * self.width for i in forced)
+        self.order = ranked[len(forced):]
         when_assigned = {pair_idx: t for t, pair_idx in enumerate(self.order)}
         region_bits = (1 << self.width) - 1
         self.by_trigger = [[] for _ in self.pairs]
@@ -499,15 +506,15 @@ class _SearchPlan:
                 groupings, checks = _groupings_and_checks(quartet, shape)
                 sums = tuple((pair_pos[p1], pair_pos[p2]) for p1, p2 in groupings)
                 by_shape.append((sums, checks, {}))
-            if all(len(self.allowed[i]) == 1 for i in positions):
-                code = sum(self.allowed[i][0] << i * self.width for i in positions)
+            free = [i for i in positions if i in when_assigned]
+            if not free:
                 bad = {shape for shape, (sums, checks, _) in enumerate(by_shape)
-                       if not self.passes(code, sums, checks)}
+                       if not self.passes(self.forced_code, sums, checks)}
                 if bad:
                     prefix_quartets = list(itertools.combinations(range(quartet[3] + 1), 4))
                     failing[quartet[3]].append((prefix_quartets.index(quartet), bad))
                 continue
-            trigger = max(positions, key=when_assigned.__getitem__)
+            trigger = max(free, key=when_assigned.__getitem__)
             qmask = sum(region_bits << i * self.width for i in positions)
             self.by_trigger[trigger].append((t, qmask, by_shape))
         self.prefix_ok = None
@@ -525,16 +532,18 @@ class _SearchPlan:
         return code >> pair_idx * self.width & (1 << self.width) - 1
 
     def passes(self, code, sums, checks) -> bool:
-        regions = [(self.region(code, i), self.region(code, j)) for i, j in sums]
-        return all(_can_be_le(regions[lo], regions[hi]) for lo, hi in checks)
+        width, bits = self.width, (1 << self.width) - 1
+        regions = tuple((code >> i * width & bits, code >> j * width & bits) for i, j in sums)
+        return _checks_pass(regions, checks)
 
     def search(self, masks):
         """Edge weights, in mask order, and thresholds that induce the graph
         on the topology whose edge leaf masks are ``masks``, or None.
 
-        A DFS assigns the pairs their regions in ``order``, checks each
-        quartet of ``by_trigger`` once the last of its six pairs is
-        assigned, and decides each full assignment by an exact LP."""
+        A DFS from ``forced_code`` assigns the free pairs their regions in
+        ``order``, checks each quartet of ``by_trigger`` once the last of
+        its six pairs is assigned, and decides each full assignment by an
+        exact LP."""
         shapes = _quartet_shapes(masks, self.n)
         order, allowed, by_trigger, width = self.order, self.allowed, self.by_trigger, self.width
 
@@ -562,36 +571,36 @@ class _SearchPlan:
                         return result
             return None
 
-        return dfs(0, 0)
+        return dfs(0, self.forced_code)
 
-    def _solve_lp(self, masks, code):
-        """Exact feasibility for the full assignment ``code``.
+    def rows(self, paths, m, code):
+        """The LP rows of the full assignment ``code`` on a topology with m
+        edges and leaf-pair edge lists ``paths``.
 
         Variables (all >= 0 after shifting):
           x_e = w_e - 1 for each topology edge, in mask order,
-          y_i = theta_i - theta_{i-1} - 1 (theta_0 = 0),
+          y_i = theta_i - theta_{i-1} - 1 (theta_0 = 0), as variable m + i - 1,
         so theta_i = i + y_1 + ... + y_i and every strict inequality is a
         margin-1 constraint (no solutions are lost: the system is
         scale-invariant).
         """
-        m, q = len(masks), self.q
-        paths = _leaf_paths(masks, self.n)
         constraints = []
         for pos, pair in enumerate(self.pairs):
             r = self.region(code, pos)
             path = paths[pair]
-            base = len(path)  # contribution of the +1 shifts
-            if r >= 1:
-                coeffs = {e: 1 for e in path}
-                for j in range(r):
-                    coeffs[m + j] = coeffs.get(m + j, 0) - 1
-                constraints.append((coeffs, exactlp.GE, r + 1 - base))
-            if r < q:
-                coeffs = {e: 1 for e in path}
-                for j in range(r + 1):
-                    coeffs[m + j] = coeffs.get(m + j, 0) - 1
-                constraints.append((coeffs, exactlp.LE, (r + 1) - base))
-        solution = exactlp.find_feasible_point(m + q, constraints)
+            # d >= theta_r + 1 and d <= theta_{r+1}, where these thresholds
+            # exist; with d = len(path) + the path's x_e, both rows read
+            # x_path - y_1 - ... - y_t  (>= or <=)  r + 1 - len(path)
+            for t, rel in ((r, exactlp.GE), (r + 1, exactlp.LE)):
+                if 1 <= t <= self.q:
+                    coeffs = dict.fromkeys(path, 1) | dict.fromkeys(range(m, m + t), -1)
+                    constraints.append((coeffs, rel, r + 1 - len(path)))
+        return constraints
+
+    def _solve_lp(self, masks, code):
+        """Exact feasibility of ``rows`` for the full assignment ``code``."""
+        m, q = len(masks), self.q
+        solution = exactlp.find_feasible_point(m + q, self.rows(_leaf_paths(masks, self.n), m, code))
         if solution is None:
             return None
         weights = [solution[e] + 1 for e in range(m)]
@@ -622,7 +631,7 @@ class _GraphSearch:
     """The exhaustive searches on one graph.  They share what depends only
     on the graph: its edges as leaf-index pairs, the orbit filter of its
     automorphisms and one ``_SearchPlan`` per q, built when a search first
-    asks for it (the k-leaf searches use the q = 1 plan's cut)."""
+    asks for it (the k-leaf searches use the q = 1 plan's cut and rows)."""
 
     def __init__(self, graph: SimpleGraph):
         n = len(graph)
@@ -669,24 +678,19 @@ class _GraphSearch:
         return None
 
     def k_leaf_root(self, k: int) -> WeightedTree | None:
-        for masks in self.topologies(self.plan(1).prefix_ok):
+        """An integer-weighted tree of the graph with theta_1 = k, or None:
+        the q = 1 plan's rows at its one assignment, with y_1 = k - 1,
+        decided over integers x_e = w_e - 1 in [0, k]."""
+        plan = self.plan(1)
+        for masks in self.topologies(plan.prefix_ok):
             m = len(masks)
-            constraints = [({e: 1}, exactlp.GE, 1) for e in range(m)]
-            ok_shape = True
-            for pair, path in _leaf_paths(masks, self.n).items():
-                coeffs = {e: 1 for e in path}
-                if pair in self.edge_pairs:
-                    if len(path) > k:  # every edge weighs >= 1
-                        ok_shape = False
-                        break
-                    constraints.append((coeffs, exactlp.LE, k))
-                else:
-                    constraints.append((coeffs, exactlp.GE, k + 1))
-            if not ok_shape:
+            paths = _leaf_paths(masks, self.n)
+            if any(len(paths[pair]) > k for pair in self.edge_pairs):  # every edge weighs >= 1
                 continue
-            solution = _ilp_feasible(m, constraints, k + 1)
+            rows = plan.rows(paths, m, plan.forced_code) + [({m: 1}, exactlp.EQ, k - 1)]
+            solution = _ilp_feasible(m + 1, rows, k)
             if solution is not None:
-                tree = _tree_from(masks, self.labels, [int(v) for v in solution])
+                tree = _tree_from(masks, self.labels, [int(x) + 1 for x in solution[:m]])
                 cert = GlpCertificate(tree, ThresholdSequence((Fraction(k),)))
                 if graph_from_certificate(cert) != self.graph:
                     raise InternalError("is_k_leaf_power: the k-leaf root induces another graph")
@@ -718,9 +722,7 @@ def recognize_glp(
         raise CapacityError(f"q={q} exceeds the threshold cap of {THRESHOLD_CAP}")
     limits = limits or DEFAULT_LIMITS
     n = len(graph)
-    cap = limits.cap_for(q)
-    if n > cap:
-        raise CapacityError(f"{n} vertices exceeds the q={q} cap of {cap}")
+    limits.check_size(n, q)
     if n == 1:
         thetas = tuple(Fraction(k + 1) for k in range(q))
         return GlpCertificate(_tree_from((), list(graph.vertices), ()), ThresholdSequence(thetas))
@@ -774,14 +776,17 @@ def is_k_leaf_power(
 
     Weights above k+1 are never needed (any heavier edge can be cut to
     k+1 without changing which pairs are within k), so the integer search
-    is over the finite box [1, k+1]^edges per topology.
+    is over the finite box [1, k+1]^edges per topology.  Branch and bound
+    can take about one LP per unit of that box, so a k above the
+    configured ceiling raises ``CeilingExceededError`` before any search.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     limits = limits or DEFAULT_LIMITS
+    if k > limits.k_ceiling:
+        raise CeilingExceededError(f"k={k} exceeds the k ceiling of {limits.k_ceiling}")
     n = len(graph)
-    if n > limits.max_leaves_q1:
-        raise CapacityError(f"{n} vertices exceeds the cap of {limits.max_leaves_q1}")
+    limits.check_size(n, 1)
     if n == 1:
         return _tree_from((), list(graph.vertices), ())
     if not is_chordal(graph):
@@ -796,15 +801,14 @@ def leaf_rank(
 
     None means the graph is not a leaf power at all (decided by the
     exhaustive GLP(1) search).  An integerized certificate bounds the
-    search from above; the configured ceiling guards the loop.  The GLP(1)
-    search and every k share one ``_GraphSearch``.
+    search from above; the configured k ceiling guards the loop.  The
+    GLP(1) search and every k share one ``_GraphSearch``.
     """
     limits = limits or DEFAULT_LIMITS
     n = len(graph)
     if n == 1:
         return 1
-    if n > limits.max_leaves_q1:
-        raise CapacityError(f"{n} vertices exceeds the q=1 cap of {limits.max_leaves_q1}")
+    limits.check_size(n, 1)
     if not is_chordal(graph):
         return None
     search = _GraphSearch(graph)
@@ -815,12 +819,10 @@ def leaf_rank(
     if theta.denominator != 1:
         raise InternalError("leaf_rank: the integerized threshold is not an integer")
     upper = int(theta)
-    ceiling = min(upper, limits.leaf_rank_ceiling)
+    ceiling = min(upper, limits.k_ceiling)
     for k in range(1, ceiling + 1):
         if search.k_leaf_root(k) is not None:
             return k
-    if upper > limits.leaf_rank_ceiling:
-        raise CeilingExceededError(
-            f"no k-leaf root found up to the ceiling {limits.leaf_rank_ceiling}"
-        )
+    if upper > limits.k_ceiling:
+        raise CeilingExceededError(f"no k-leaf root found up to the k ceiling {limits.k_ceiling}")
     raise InternalError("leaf_rank: the integer certificate does not witness k = upper")

@@ -231,6 +231,17 @@ def test_max_leaves_above_topology_cap_fails_fast(capsys, tmp_path):
         assert code == 3 and "topology cap" in err
 
 
+def test_k_above_the_ceiling_exits_3_at_once(capsys, monkeypatch, tmp_path):
+    def no_search(graph):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(recognition, "_GraphSearch", no_search)
+    path = tmp_path / "p6.json"
+    path.write_text(SimpleGraph("abcdef", list(zip("abcde", "bcdef"))).to_json())
+    code, out, err = run(capsys, "k-leaf-power", str(path), "-k", "1000000")
+    assert code == 3 and out == "" and "k ceiling" in err
+
+
 def test_limits_below_one_are_usage_errors(capsys, c4_path):
     assert run(capsys, "recognize", c4_path, "-q", "2", "--max-leaves", "0")[0] == 2
     assert run(capsys, "k-leaf-power", c4_path, "-k", "2", "--max-leaves", "-1")[0] == 2

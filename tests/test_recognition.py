@@ -10,11 +10,11 @@ import pytest
 
 from leafpower import (
     CapacityError,
+    CeilingExceededError,
     InternalError,
     RecognitionLimits,
     SimpleGraph,
     cert_lift,
-    enumerate_topologies,
     graph_from_certificate,
     is_chordal,
     is_k_leaf_power,
@@ -110,16 +110,16 @@ def quartet_shape(quartet, splits):
 
 class TestTopologies:
     def test_single_edge(self):
-        cat = enumerate_topologies(2)
-        assert cat.n_leaves == 2
-        assert len(cat.topologies) == 1
+        topologies = list(iter_topologies(2))
+        assert len(topologies) == 1
+        assert _mask_edges(topologies[0], 2) == [(0, 1)]
 
     def test_n4_hand_count(self):
         # one star plus the three labeled pairings of the quartet shape
-        cat = enumerate_topologies(4)
-        assert len(cat.topologies) == 4
+        topologies = [_mask_edges(masks, 4) for masks in iter_topologies(4)]
+        assert len(topologies) == 4
         internal_edge_counts = sorted(
-            sum(1 for u, v in t if u >= 4 and v >= 4) for t in cat.topologies
+            sum(1 for u, v in t if u >= 4 and v >= 4) for t in topologies
         )
         assert internal_edge_counts == [0, 1, 1, 1]
 
@@ -150,12 +150,13 @@ class TestTopologies:
         assert count == KNOWN_COUNTS[n]
 
     def test_capacity(self):
+        # whatever the limits, the search stops at TOPOLOGY_LEAF_CAP leaves
         with pytest.raises(CapacityError):
-            enumerate_topologies(15)
+            recognize_glp(SimpleGraph(range(15)), 1, RecognitionLimits(max_leaves=15))
 
     def test_no_leaves_is_a_value_error(self):
         with pytest.raises(ValueError):
-            enumerate_topologies(0)
+            next(iter_topologies(0))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_split_key_matches_oracle(self, n):
@@ -451,6 +452,33 @@ class TestKLeafPower:
                 expected = is_k_leaf_power_by_literature(g, k)
                 assert (is_k_leaf_power(graph, k) is not None) == expected, (k, list(g.edges))
 
+    def test_weights_doubled(self):
+        # doubling every weight of a k-leaf root gives a 2k-leaf root, and a
+        # (2k+1)-leaf root too, since integer distances are then even
+        nx = pytest.importorskip("networkx")
+        atlas = [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 6]
+        members = 0
+        for g in atlas:
+            graph = SimpleGraph(list(g.nodes), list(g.edges))
+            for k in (1, 2, 3):
+                if is_k_leaf_power(graph, k) is None:
+                    continue
+                members += 1
+                for doubled in (2 * k, 2 * k + 1):
+                    assert is_k_leaf_power(graph, doubled) is not None, (k, doubled, list(g.edges))
+        assert members > 100
+
+    def test_k_above_the_ceiling_fails_before_any_search(self, monkeypatch):
+        def no_ilp(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(recognition, "_ilp_feasible", no_ilp)
+        p6 = SimpleGraph("abcdef", list(zip("abcde", "bcdef")))
+        with pytest.raises(CeilingExceededError):
+            is_k_leaf_power(p6, 10**6)
+        with pytest.raises(CeilingExceededError):
+            is_k_leaf_power(p6, 4, RecognitionLimits(k_ceiling=3))
+
     def test_padding_sampled(self, rng):
         done = 0
         while done < 12:
@@ -566,10 +594,20 @@ class TestAutomorphisms:
 
 class TestLimits:
     def test_cap_for_is_per_q(self):
+        # the default table, and one override at every q
+        assert [RecognitionLimits().cap_for(q) for q in range(1, 7)] == [8, 8, 6, 5, 5, 5]
+        assert {RecognitionLimits(max_leaves=4).cap_for(q) for q in range(1, 7)} == {4}
         g = SimpleGraph("abcde")
+        for q in (1, 2, 3, 4):
+            with pytest.raises(CapacityError):
+                recognize_glp(g, q, RecognitionLimits(max_leaves=4))
         with pytest.raises(CapacityError):
-            recognize_glp(g, 2, RecognitionLimits(max_leaves_q2=4))
-        assert recognize_glp(g, 1, RecognitionLimits(max_leaves_q2=4)) is not None
+            is_k_leaf_power(g, 2, RecognitionLimits(max_leaves=4))
+        with pytest.raises(CapacityError):
+            leaf_rank(g, RecognitionLimits(max_leaves=4))
+        with pytest.raises(CapacityError):
+            recognize_glp(SimpleGraph("abcdef"), 4)
+        assert recognize_glp(SimpleGraph("abcdef"), 3) is not None
 
 
 class TestSelfChecks:
@@ -662,9 +700,11 @@ class TestOrbitFilter:
     def test_non_glp_family_2_search_count(self, monkeypatch):
         """Deterministic work counts of the orbit-filtered topology loop.
 
-        The topologies of one graph share each quartet verdict, so the
-        closed-form test runs a few thousand times (355,825 when every
-        topology recomputed its own), and no LP is needed.  The orbit test
+        The topologies of one graph share each quartet verdict, and equal
+        region patterns share one decision, so from an empty cache the
+        closed-form test runs 653 times (2,403 with one decision per
+        quartet verdict, 355,825 when every topology recomputed its own),
+        and no LP is needed.  The orbit test
         compares a key only with the images of the automorphisms that can
         map one of its masks onto its first: 27,279 comparisons, where
         comparing each key that passes the least-image test with every
@@ -684,10 +724,11 @@ class TestOrbitFilter:
 
         monkeypatch.setattr(recognition, "_can_be_le", counting_can_be_le)
         monkeypatch.setattr(exactlp, "find_feasible_point", counting_lp)
+        recognition._checks_pass.cache_clear()
         assert recognize_glp(non_glp_family(2), 2) is None
         assert counts == {"topologies": 39208, "searches": 688}
         assert len(lps) == 0
-        assert len(verdicts) < 5000
+        assert len(verdicts) < 1000
         assert orbit_work["comparisons"] < 40000
 
     @pytest.mark.parametrize("graph", [EDGELESS7, COMPLETE7], ids=["edgeless", "complete"])
@@ -774,6 +815,18 @@ class TestForcedQuartetCut:
 
     def test_graph_with_no_failing_quartet_gets_no_cut(self):
         assert _SearchPlan(5, set(itertools.combinations(range(5), 2)), 1).prefix_ok is None
+
+    def test_order_holds_only_the_free_pairs(self):
+        # a forced pair is fixed once in forced_code, never at a DFS level;
+        # at q = 2 the 20 edges of non_glp_family(2) are forced to region 1
+        graph = non_glp_family(2)
+        n, pairs = len(graph), index_pairs(graph)
+        for q, free in ((1, 0), (2, 8), (3, 28)):
+            plan = _SearchPlan(n, pairs, q)
+            assert len(plan.order) == free and len(plan.pairs) == 28
+            for i, regions in enumerate(plan.allowed):
+                assert (i in plan.order) == (len(regions) > 1)
+                assert plan.region(plan.forced_code, i) == (regions[0] if len(regions) == 1 else 0)
 
     def test_nothing_is_cut_above_q1(self):
         # a forced quartet at q = 2 has six edges, all in region 1, and
