@@ -5,31 +5,30 @@ exhaustive enumeration of unrooted series-reduced leaf-labeled topologies
 combined with exact rational linear feasibility.  Everything is exact;
 answers are decisions, not heuristics.
 
-Search layout per graph: topologies are enumerated in a fixed canonical
-order (leaf-insertion order); topologies equivalent under an automorphism
-of the input graph are collapsed to their orbit representative.  For each
-topology every leaf pair gets a threshold-region assignment consistent
-with the parity edge rule, pruned by an exact four-point-condition
-consistency check on quartets, and surviving assignments are decided by a
-margin-1 exact LP over edge weights and thresholds.
+Search layout per graph: one leaf-insertion recursion
+(``iter_topologies``) places leaf k in every possible way and, through
+the hook of the graph's ``_SearchPlan``, gives the pairs (i, k) their
+threshold regions under the parity edge rule, depth-first.  Each quartet
+is checked by an exact four-point-condition consistency test as soon as
+its largest leaf is placed and its last pair has a region; its shape is
+read off the partial topology and never changes later, so a placement
+with no surviving assignment cuts every topology grown from it.  A full
+topology that is not the least of its orbit under the graph's
+automorphisms is dropped, and every surviving (topology, assignment)
+pair is decided by a margin-1 exact LP over edge weights and thresholds.
 
 One ``_SearchPlan`` per graph and q holds whatever depends only on them:
-the pairs, their allowed regions, the code of the forced pairs (those
-with one allowed region), the branching order of the others, every
-quartet's checks for each of its four shapes and the LP rows of an
-assignment.  A quartet whose six pairs are forced (every quartet at
-q = 1, and at q = 2 those of six edges) has verdicts that depend only on
-its shape, so the plan decides them once, and a forced quartet that
-fails in its shape cuts the leaf insertion as soon as its largest leaf
-is placed.  Every other quartet is checked in the plan's DFS over the
-free pairs' regions, with the verdicts found so far shared by all
-topologies.  A topology only reads its quartet shapes off a per-n table
-of the quartets each edge mask splits (``_split_table``); the leaf-pair
-paths are read off the masks only when an LP is built.  A k-leaf root is
-a GLP(1) certificate with integer weights and theta_1 = k, so the k-leaf
-search runs an integer program on the q = 1 plan's rows.
-``_GraphSearch`` holds what the searches on one graph share: its edges,
-the orbit filter of its automorphisms and one plan per q.
+the pairs, their allowed regions, the forced pairs (those with one
+allowed region), per leaf the quartets to check and their verdicts, and
+the LP rows of an assignment.  Tables that depend on n alone (the shapes
+each edge mask gives the quartets of a leaf, ``_split_table``; the pairs
+of each quartet) and the verdict of each region pattern are built once
+per process.  At q = 1 every pair is forced, so the recursion is a cut of
+the topologies whose quartets fail.  A k-leaf root is a GLP(1)
+certificate with integer weights and theta_1 = k, so the k-leaf search
+runs an integer program on the q = 1 plan's rows.  ``_GraphSearch``
+holds what the searches on one graph share: its edges, the orbit filter
+of its automorphisms and one plan per q.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ class RecognitionLimits:
 DEFAULT_LIMITS = RecognitionLimits()
 
 
-def iter_topologies(n: int, _prefix_ok=None) -> Iterator[tuple]:
+def iter_topologies(n: int, _extend=None) -> Iterator[tuple]:
     """Yield every series-reduced topology on leaves 0..n-1 exactly once,
     as the tuple of its edge leaf masks: bit i of an edge's mask is set
     when leaf i is on its far side from leaf 0.  ``masks[0]`` is leaf 0's
@@ -102,41 +101,46 @@ def iter_topologies(n: int, _prefix_ok=None) -> Iterator[tuple]:
     uniquely, so no duplicates are produced, and the topology induced on
     leaves 0..k is the same in every topology grown from it.
 
-    ``_prefix_ok(k, masks)``, when given, is called once leaf k is placed,
-    with the masks of the partial topology on leaves 0..k (read only).
-    When it returns False, none of the topologies grown from that partial
-    topology is yielded.
+    ``_extend(k, masks, code)``, when given, is called once leaf k is
+    placed, with the masks of the partial topology on leaves 0..k (to
+    read, and only before its first code is taken) and a code that the
+    placement of leaf k - 1 gave (0 for leaf 1).  It returns an iterable of
+    codes; each is grown by every placement of leaf k + 1 in turn, and the
+    topologies come as pairs ``(masks, code)``, one per code given for the
+    last leaf.  A placement with no code cuts every topology grown from it.
     """
     if n < 1:
         raise ValueError("need at least 1 leaf")
     if n == 1:
-        yield ()
+        yield () if _extend is None else ((), 0)
         return
     masks = [0b10]
 
-    def rec(k):
-        if _prefix_ok is not None and not _prefix_ok(k - 1, masks):
-            return
+    def rec(k, code):
+        codes = (code,) if _extend is None else _extend(k - 1, masks, code)
         if k == n:
-            yield tuple(masks)
+            full = tuple(masks)
+            for code in codes:
+                yield full if _extend is None else (full, code)
             return
         bit = 1 << k
-        for e in range(len(masks)):
-            old = masks[e]
-            up = [i for i, m in enumerate(masks) if m & old == old]
-            for i in up:
-                masks[i] |= bit
-            if old & (old - 1):  # attach to the internal vertex below e
-                masks.append(bit)
-                yield from rec(k + 1)
-                masks.pop()
-            masks.extend((bit, old))  # subdivide e
-            yield from rec(k + 1)
-            del masks[-2:]
-            for i in up:
-                masks[i] ^= bit
+        for code in codes:
+            for e in range(len(masks)):
+                old = masks[e]
+                up = [i for i, m in enumerate(masks) if m & old == old]
+                for i in up:
+                    masks[i] |= bit
+                if old & (old - 1):  # attach to the internal vertex below e
+                    masks.append(bit)
+                    yield from rec(k + 1, code)
+                    masks.pop()
+                masks.extend((bit, old))  # subdivide e
+                yield from rec(k + 1, code)
+                del masks[-2:]
+                for i in up:
+                    masks[i] ^= bit
 
-    yield from rec(2)
+    yield from rec(2, 0)
 
 
 def _mask_edges(masks, n: int) -> list:
@@ -379,34 +383,56 @@ def _groupings_and_checks(quartet, shape):
 
 
 @functools.cache
-def _split_table(n: int) -> list:
-    """Per leaf mask m over n leaves: the ``(t, shape)`` pairs, t the index
-    of a 4-subset in ``itertools.combinations(range(n), 4)``, of the
-    quartets that an edge with far side m splits 2|2.  The shape of the
-    quartet a < b < c < d is 0, 1 or 2 when the edge parts it as ab|cd,
-    ac|bd or ad|bc, read off the side of the cut that holds a."""
-    table = [[] for _ in range(1 << n)]
-    for t, (a, *others) in enumerate(itertools.combinations(range(n), 4)):
-        leaves = 1 << a | sum(1 << v for v in others)
-        for m, entry in enumerate(table):
+def _split_table(k: int) -> list:
+    """Per leaf mask m over leaves 0..k: a dict from t, the index of
+    (a, b, c) in ``itertools.combinations(range(k), 3)``, to the shape of
+    each quartet a < b < c < k that an edge with far side m splits 2|2.
+    The shape is 0, 1 or 2 when the edge parts the quartet as ab|ck, ac|bk
+    or ak|bc, read off the side of the cut that holds a.  Masks never hold
+    leaf 0, so the odd ones get no entries."""
+    table = [{} for _ in range(2 << k)]
+    for t, (a, b, c) in enumerate(itertools.combinations(range(k), 3)):
+        others = (b, c, k)
+        leaves = 1 << a | 1 << b | 1 << c | 1 << k
+        for m in range(0, 2 << k, 2):
             cut = m & leaves
             if cut.bit_count() == 2:
                 pair = cut if cut >> a & 1 else leaves ^ cut
-                entry.append((t, others.index((pair ^ 1 << a).bit_length() - 1)))
+                table[m][t] = others.index((pair ^ 1 << a).bit_length() - 1)
     return table
 
 
-def _quartet_shapes(masks, n: int) -> list:
-    """The shape of every 4-subset, in ``itertools.combinations`` order, in
-    the topology whose edge leaf masks are ``masks``: 3, a star, unless the
-    split table entry of some mask splits it.  Pendant masks, of one bit
-    or n - 1 bits, split no quartet, so only internal edges count."""
-    split = _split_table(n)
-    shapes = [3] * math.comb(n, 4)
+def _quartet_shapes(masks, k: int) -> dict:
+    """The shape of every quartet a < b < c < k, by its index in
+    ``_split_table(k)``, in the topology on leaves 0..k whose edge leaf
+    masks are ``masks``: 3, a star, unless the split table entry of some
+    mask splits it.  Pendant masks, of one bit or k bits, split no
+    quartet, so only internal edges count."""
+    split = _split_table(k)
+    shapes = dict.fromkeys(range(math.comb(k, 3)), 3)
     for m in masks:
-        for t, shape in split[m]:
-            shapes[t] = shape
+        shapes.update(split[m])
     return shapes
+
+
+@functools.cache
+def _quartet_sums(n: int) -> list:
+    """Per leaf k < n: for each quartet a < b < c < k, in the order of
+    ``_split_table(k)``, the indices of its six pairs in
+    ``itertools.combinations(range(n), 2)`` and, per shape, its
+    ``_groupings_and_checks`` with each pair given by that index."""
+    index = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
+    per_leaf = []
+    for k in range(n):
+        quartets = []
+        for quartet in ((a, b, c, k) for a, b, c in itertools.combinations(range(k), 3)):
+            by_shape = []
+            for shape in range(4):
+                groupings, checks = _groupings_and_checks(quartet, shape)
+                by_shape.append((tuple((index[p1], index[p2]) for p1, p2 in groupings), checks))
+            quartets.append((tuple(index[p] for p in itertools.combinations(quartet, 2)), by_shape))
+        per_leaf.append(quartets)
+    return per_leaf
 
 
 def _allowed_regions(is_edge: bool, q: int) -> tuple:
@@ -423,110 +449,67 @@ def _checks_pass(sum_regions, checks) -> bool:
 
 
 class _SearchPlan:
-    """The region search on every topology of one graph at one q, compiled
-    once.  It is the only owner of the pairs' regions and of the LP rows.
+    """The region search of one graph at one q, compiled once: the hook
+    ``extend`` of ``iter_topologies`` and the LP of a full assignment.  It
+    is the only owner of the pairs' regions, the quartet verdicts and the
+    LP rows.
 
     - ``pairs``: the leaf pairs i < j in ``itertools.combinations`` order;
     - ``allowed``: each pair's regions under the parity edge rule;
     - ``forced_code``: the assignment code of the forced pairs, those with
-      one allowed region; every assignment the search tries extends it;
-    - ``order``: the branching order of the free pairs, those with fewer
-      allowed regions first;
-    - ``prefix_ok``: the prefix test of ``iter_topologies`` that cuts the
-      forced quartets (below) that fail, or None when none fails;
-    - ``by_trigger``: per pair, the other quartets whose last free pair in
-      ``order`` it is (their trigger), as ``(t, qmask, by_shape)``: the
-      quartet's index, the bits of its six pairs in an assignment code
-      and, per shape of ``_quartet_shapes``, its ``(sums, checks,
-      verdicts)``.
+      one allowed region;
+    - ``orbits``: the graph's ``_OrbitFilter``, or None;
+    - ``steps[k]``: what ``extend`` does once leaf k is placed, as
+      ``(forced, free, checks, checked)``: the code of the forced pairs
+      (i, k); the ``(shift, regions)`` of the free ones in the order of i,
+      each with its regions from the highest down (at q = 2 a free pair is
+      a non-edge, and most non-edges are far apart); per number j of them
+      assigned, the quartets whose largest leaf is k and whose last free
+      pair is the j-th (j = 0: none of its pairs (i, k) is free); and
+      whether any quartet is checked at all.
 
     An assignment code packs pair i's region into bits ``i * width`` and
-    up.  ``verdicts`` maps ``code & qmask`` to whether the six regions
-    pass the shape's checks, so each verdict is computed once per graph
-    and q, for all its topologies.
-
-    Forced quartets.  A quartet is forced when its six pairs are: every
-    quartet at q = 1, and at q = 2 the quartets of six edges, all in
-    region 1.  Its checks then depend only on its shape in the topology,
-    one of its three splits or a star, so the plan decides each of the
-    four shapes here, at ``forced_code``; once leaf k is placed,
-    ``prefix_ok`` looks up the forced quartets whose largest leaf is k and
-    that have a failing shape.  Nothing is cut at q >= 2, since equal
-    regions pass every check.
-
-    Soundness of the cut.  Let a forced quartet with largest leaf k fail in
-    the partial topology on leaves 0..k.
-
-    - Leaf insertion never changes the topology induced on the leaves
-      already placed, so the quartet has the same shape, and fails, in
-      every topology grown from the partial one.
-    - On such a topology every region assignment fails that check, so
-      ``search`` returns None.  The checks are necessary conditions: by the
-      four-point condition (Buneman 1974), in a positively weighted tree
-      the two cross sums of a split quartet are equal and at least its
-      split sum, and the three sums of a star are equal; ``_can_be_le``
-      says exactly when two sums in given regions can be so ordered for
-      some thresholds.  So no weights and thresholds on that topology
-      induce the graph.
-    - A k-leaf root is a GLP(1) certificate with theta_1 = k, so no
-      topology that is cut at q = 1 carries a k-leaf root either.
-
-    A topology whose forced quartets all pass is never cut, since each test
-    looks only at quartets of placed leaves.
-
-    Orbits.  An automorphism of the graph maps each pair to a pair in the
-    same region, and each quartet and its shape in a topology to the image
-    quartet and its shape in the image topology, so a topology passes every
-    check exactly when its images do.  The orbit filter keeps the topology
-    with the least split key over the whole orbit, so the same
-    representatives come through in the same order, less those the search
-    rejects anyway: the first topology that succeeds, its certificate and
-    the LP calls are those of the search without the cut.
+    up.  A checked quartet is ``(t, qmask, by_shape, verdicts)``: its index
+    t in ``_split_table(k)``, the bits of its six pairs in a code, its sums
+    and checks per shape (``_quartet_sums``) and, per ``(code & qmask) << 2
+    | shape``, whether it passes, so each verdict is computed once per
+    graph and q.  A quartet whose six pairs are forced (every quartet at
+    q = 1, and at q = 2 those of six edges, all in region 1) is decided
+    here, with qmask 0; it is checked only when it fails in some shape,
+    which never happens at q >= 2, since equal regions pass every check.
     """
 
-    def __init__(self, n, edge_pairs, q):
+    def __init__(self, n, edge_pairs, q, orbits=None):
         self.n = n
         self.q = q
-        self.width = q.bit_length()
+        self.orbits = orbits
+        self.width = width = q.bit_length()
+        bits = (1 << width) - 1
         self.pairs = list(itertools.combinations(range(n), 2))
-        pair_pos = {p: i for i, p in enumerate(self.pairs)}
         self.allowed = [_allowed_regions(p in edge_pairs, q) for p in self.pairs]
-        ranked = sorted(range(len(self.pairs)), key=lambda i: (len(self.allowed[i]), i))
-        forced = [i for i in ranked if len(self.allowed[i]) == 1]
-        self.forced_code = sum(self.allowed[i][0] << i * self.width for i in forced)
-        self.order = ranked[len(forced):]
-        when_assigned = {pair_idx: t for t, pair_idx in enumerate(self.order)}
-        region_bits = (1 << self.width) - 1
-        self.by_trigger = [[] for _ in self.pairs]
-        failing = [[] for _ in range(n)]  # by largest leaf k: (index over leaves 0..k, shapes)
-        for t, quartet in enumerate(itertools.combinations(range(n), 4)):
-            positions = [pair_pos[p] for p in itertools.combinations(quartet, 2)]
-            by_shape = []
-            for shape in range(4):
-                groupings, checks = _groupings_and_checks(quartet, shape)
-                sums = tuple((pair_pos[p1], pair_pos[p2]) for p1, p2 in groupings)
-                by_shape.append((sums, checks, {}))
-            free = [i for i in positions if i in when_assigned]
-            if not free:
-                bad = {shape for shape, (sums, checks, _) in enumerate(by_shape)
-                       if not self.passes(self.forced_code, sums, checks)}
-                if bad:
-                    prefix_quartets = list(itertools.combinations(range(quartet[3] + 1), 4))
-                    failing[quartet[3]].append((prefix_quartets.index(quartet), bad))
-                continue
-            trigger = max(free, key=when_assigned.__getitem__)
-            qmask = sum(region_bits << i * self.width for i in positions)
-            self.by_trigger[trigger].append((t, qmask, by_shape))
-        self.prefix_ok = None
-        if any(failing):
-
-            def prefix_ok(k, masks):
-                if not failing[k]:
-                    return True
-                shapes = _quartet_shapes(masks, k + 1)
-                return all(shapes[t] not in bad for t, bad in failing[k])
-
-            self.prefix_ok = prefix_ok
+        forced = [len(regions) == 1 for regions in self.allowed]
+        self.forced_code = sum(r[0] << i * width for i, r in enumerate(self.allowed) if forced[i])
+        self.steps = []
+        for k, quartets in enumerate(_quartet_sums(n)):
+            new = [self.pairs.index((i, k)) for i in range(k)]
+            free = [i for i in new if not forced[i]]
+            rank = {i: j + 1 for j, i in enumerate(free)}
+            checks = [[] for _ in range(len(free) + 1)]
+            for t, (positions, by_shape) in enumerate(quartets):
+                if all(forced[i] for i in positions):
+                    verdicts = {shape: self.passes(self.forced_code, *by_shape[shape]) for shape in range(4)}
+                    if not all(verdicts.values()):
+                        checks[0].append((t, 0, by_shape, verdicts))
+                    continue
+                qmask = sum(bits << i * width for i in positions)
+                last = max(rank.get(positions[i], 0) for i in (2, 4, 5))  # pairs ak, bk, ck
+                checks[last].append((t, qmask, by_shape, {}))
+            self.steps.append((
+                sum(self.allowed[i][0] << i * width for i in new if forced[i]),
+                [(i * width, self.allowed[i][::-1]) for i in free],
+                checks,
+                any(checks),
+            ))
 
     def region(self, code, pair_idx):
         return code >> pair_idx * self.width & (1 << self.width) - 1
@@ -536,42 +519,69 @@ class _SearchPlan:
         regions = tuple((code >> i * width & bits, code >> j * width & bits) for i, j in sums)
         return _checks_pass(regions, checks)
 
-    def search(self, masks):
-        """Edge weights, in mask order, and thresholds that induce the graph
-        on the topology whose edge leaf masks are ``masks``, or None.
+    def extend(self, k, masks, code):
+        """The hook of ``iter_topologies``: once leaf k is placed, the
+        extensions of ``code`` by regions of the pairs (i, k) that pass
+        every quartet whose largest leaf is k, depth-first.  Each quartet is
+        checked as soon as its last free pair has a region, with its shape
+        read off the partial topology ``masks``.  At the last leaf, a full
+        topology that the orbit filter drops gets no extension at all.
 
-        A DFS from ``forced_code`` assigns the free pairs their regions in
-        ``order``, checks each quartet of ``by_trigger`` once the last of
-        its six pairs is assigned, and decides each full assignment by an
-        exact LP."""
-        shapes = _quartet_shapes(masks, self.n)
-        order, allowed, by_trigger, width = self.order, self.allowed, self.by_trigger, self.width
+        Soundness.  The search cuts only what no tree realizes:
 
-        def quartets_ok(pair_idx, code):
-            for t, qmask, by_shape in by_trigger[pair_idx]:
-                sums, checks, verdicts = by_shape[shapes[t]]
-                key = code & qmask
-                ok = verdicts.get(key)
-                if ok is None:
-                    ok = verdicts[key] = self.passes(code, sums, checks)
-                if not ok:
-                    return False
-            return True
+        - Leaf insertion keeps the topology induced on the leaves already
+          placed, so a quartet's shape is final once its largest leaf is
+          placed, and a code that fails the quartet there fails it in every
+          topology grown from the placement.
+        - The checks are necessary conditions: by the four-point condition
+          (Buneman 1974), in a positively weighted tree the two cross sums
+          of a split quartet are equal and at least its split sum, and the
+          three sums of a star are equal; ``_can_be_le`` says exactly when
+          two sums in given regions can be so ordered for some thresholds.
+          Every quartet has one largest leaf, so a full topology is reached
+          with exactly the codes that pass all its quartets, each once, and
+          no weights and thresholds on it induce the graph at any other.
+          A k-leaf root is a GLP(1) certificate with theta_1 = k, so no
+          topology cut at q = 1 carries one either.
+        - Orbits.  An automorphism of the graph maps each pair to a pair in
+          the same region, and each quartet and its shape in a topology to
+          the image quartet and its shape in the image topology, so a
+          topology is reached with a code exactly when its images are
+          reached with the image code.  The orbit filter keeps the topology
+          with the least split key over the whole orbit, so if any
+          topology carries a solution, a kept one does.
+        """
+        if k == self.n - 1 and self.orbits is not None and not self.orbits.is_representative(masks):
+            return ()
+        forced, free, checks, checked = self.steps[k]
+        shapes = _quartet_shapes(masks, k) if checked else None
+        code |= forced
+        if not self._passes(code, checks[0], shapes):
+            return ()
+        return self._assign(code, 0, free, checks, shapes) if free else (code,)
 
-        def dfs(depth, code):
-            if depth == len(order):
-                return self._solve_lp(masks, code)
-            pair_idx = order[depth]
-            shift = pair_idx * width
-            for region in allowed[pair_idx]:
-                assigned = code | region << shift
-                if quartets_ok(pair_idx, assigned):
-                    result = dfs(depth + 1, assigned)
-                    if result is not None:
-                        return result
-            return None
+    def _assign(self, code, j, free, checks, shapes):
+        """Yield the extensions of ``code`` (which passes ``checks[j]``) by
+        regions of ``free[j:]`` that pass the quartets checked on the way."""
+        if j == len(free):
+            yield code
+            return
+        shift, regions = free[j]
+        for region in regions:
+            extended = code | region << shift
+            if self._passes(extended, checks[j + 1], shapes):
+                yield from self._assign(extended, j + 1, free, checks, shapes)
 
-        return dfs(0, self.forced_code)
+    def _passes(self, code, quartets, shapes):
+        for t, qmask, by_shape, verdicts in quartets:
+            shape = shapes[t]
+            key = (code & qmask) << 2 | shape
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = self.passes(code, *by_shape[shape])
+            if not ok:
+                return False
+        return True
 
     def rows(self, paths, m, code):
         """The LP rows of the full assignment ``code`` on a topology with m
@@ -597,19 +607,16 @@ class _SearchPlan:
                     constraints.append((coeffs, rel, r + 1 - len(path)))
         return constraints
 
-    def _solve_lp(self, masks, code):
-        """Exact feasibility of ``rows`` for the full assignment ``code``."""
+    def solve(self, masks, code):
+        """Edge weights, in mask order, and thresholds that induce the graph
+        on the topology whose edge leaf masks are ``masks`` with the full
+        assignment ``code``, from an exact LP on ``rows``, or None."""
         m, q = len(masks), self.q
         solution = exactlp.find_feasible_point(m + q, self.rows(_leaf_paths(masks, self.n), m, code))
         if solution is None:
             return None
         weights = [solution[e] + 1 for e in range(m)]
-        thetas = []
-        acc = Fraction(0)
-        for j in range(q):
-            acc += solution[m + j] + 1
-            thetas.append(acc)
-        return weights, thetas
+        return weights, list(itertools.accumulate(solution[m + j] + 1 for j in range(q)))
 
 
 def _tree_from(masks, labels, weights) -> WeightedTree:
@@ -648,26 +655,17 @@ class _GraphSearch:
 
     def plan(self, q: int) -> _SearchPlan:
         if q not in self.plans:
-            self.plans[q] = _SearchPlan(self.n, self.edge_pairs, q)
+            self.plans[q] = _SearchPlan(self.n, self.edge_pairs, q, self.orbits)
         return self.plans[q]
 
-    def topologies(self, prefix_ok):
-        """The topologies of ``iter_topologies(n, prefix_ok)`` on the graph's
-        vertices, one per orbit.
-
-        An automorphism of the graph maps a topology that works onto one
-        that works, so of each orbit only the topology with the least split
-        key (``_OrbitFilter``) is yielded.
-        """
-        orbits = self.orbits
-        for masks in iter_topologies(self.n, prefix_ok):
-            if orbits is None or orbits.is_representative(masks):
-                yield masks
-
     def glp(self, q: int) -> GlpCertificate | None:
+        """The first (topology, assignment) pair of the q plan's search whose
+        exact LP is feasible, as a checked and integerized certificate, or
+        None.  Of each orbit under the graph's automorphisms only the
+        topology with the least split key (``_OrbitFilter``) gets an LP."""
         plan = self.plan(q)
-        for masks in self.topologies(plan.prefix_ok):
-            result = plan.search(masks)
+        for masks, code in iter_topologies(self.n, plan.extend):
+            result = plan.solve(masks, code)
             if result is not None:
                 weights, thetas = result
                 tree = _tree_from(masks, self.labels, weights)
@@ -679,15 +677,16 @@ class _GraphSearch:
 
     def k_leaf_root(self, k: int) -> WeightedTree | None:
         """An integer-weighted tree of the graph with theta_1 = k, or None:
-        the q = 1 plan's rows at its one assignment, with y_1 = k - 1,
-        decided over integers x_e = w_e - 1 in [0, k]."""
+        on the orbit representatives of the q = 1 plan's search, its rows
+        at the one assignment, with y_1 = k - 1, decided over integers
+        x_e = w_e - 1 in [0, k]."""
         plan = self.plan(1)
-        for masks in self.topologies(plan.prefix_ok):
+        for masks, code in iter_topologies(self.n, plan.extend):
             m = len(masks)
             paths = _leaf_paths(masks, self.n)
             if any(len(paths[pair]) > k for pair in self.edge_pairs):  # every edge weighs >= 1
                 continue
-            rows = plan.rows(paths, m, plan.forced_code) + [({m: 1}, exactlp.EQ, k - 1)]
+            rows = plan.rows(paths, m, code) + [({m: 1}, exactlp.EQ, k - 1)]
             solution = _ilp_feasible(m + 1, rows, k)
             if solution is not None:
                 tree = _tree_from(masks, self.labels, [int(x) + 1 for x in solution[:m]])
@@ -703,9 +702,9 @@ def recognize_glp(
 ) -> GlpCertificate | None:
     """Exhaustive GLP(q) membership decision with certificate.
 
-    Returns an integerized certificate from the first feasible topology in
-    orbit-reduced canonical enumeration order, or None when no weighted
-    tree and threshold sequence exist.
+    Returns an integerized certificate from the first feasible (topology,
+    assignment) pair of the orbit-reduced leaf-insertion search, or None
+    when no weighted tree and threshold sequence exist.
 
     On n vertices GLP(q) = GLP(q - 2) once q > C(n, 2) + 1.  The C(n, 2)
     pair distances take at most C(n, 2) + 1 distinct sets of pairs at or

@@ -147,6 +147,15 @@ def orbit_representatives(graph):
     return [masks for masks in topologies if least[key(masks)] == key(masks)]
 
 
+def kept_by_orbit_filter(graph):
+    """The topologies of ``iter_topologies`` on the graph's vertices, in
+    order, that the search's orbit filter keeps."""
+    from leafpower.recognition import _GraphSearch, iter_topologies
+
+    orbits = _GraphSearch(graph).orbits
+    return [masks for masks in iter_topologies(len(graph)) if orbits is None or orbits.is_representative(masks)]
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

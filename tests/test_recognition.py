@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -41,6 +43,7 @@ from leafpower.tree_metric import _leaf_masks, _leaf_paths
 from conftest import (
     automorphisms_by_scan,
     is_k_leaf_power_by_literature,
+    kept_by_orbit_filter,
     orbit_representatives,
     random_certificate,
 )
@@ -95,6 +98,17 @@ def split_key(edges, n):
             side = set(range(n)) - side
         key.append(frozenset(side))
     return frozenset(key)
+
+
+def prefix_shapes(masks, n):
+    """Each quartet a < b < c < k of the topology with edge leaf masks
+    ``masks``, by k and then in ``combinations`` order, with its shape read
+    as the search reads it: off the partial topology on leaves 0..k, whose
+    masks are the full ones cut to those leaves."""
+    for k in range(3, n):
+        shapes = _quartet_shapes({m & (2 << k) - 1 for m in masks}, k)
+        for t, (a, b, c) in enumerate(itertools.combinations(range(k), 3)):
+            yield (a, b, c, k), shapes[t]
 
 
 def quartet_shape(quartet, splits):
@@ -178,9 +192,7 @@ class TestTopologies:
         quartets = stars = 0
         for masks in iter_topologies(n):
             splits = split_key(_mask_edges(masks, n), n)
-            for quartet, shape in zip(
-                itertools.combinations(range(n), 4), _quartet_shapes(masks, n)
-            ):
+            for quartet, shape in prefix_shapes(masks, n):
                 groupings, checks = _groupings_and_checks(quartet, shape)
                 cuts = [side & set(quartet) for side in splits]
                 cuts = [cut for cut in cuts if len(cut) == 2]
@@ -195,14 +207,14 @@ class TestTopologies:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
     def test_split_table_shapes_match_quartet_shape(self, n):
-        # the split table's shapes against the shape read off the
-        # topology's splits, and the star count over all quartets
-        quartets = list(itertools.combinations(range(n), 4))
+        # the split table's shapes, read off each partial topology, against
+        # the shape read off the full topology's splits, and the star count
+        # over all quartets
         stars = total = 0
         for masks in iter_topologies(n):
             splits = split_key(_mask_edges(masks, n), n)
-            shapes = [quartet_shape(quartet, splits) for quartet in quartets]
-            assert _quartet_shapes(masks, n) == shapes
+            quartets, shapes = zip(*prefix_shapes(masks, n))
+            assert [quartet_shape(quartet, splits) for quartet in quartets] == list(shapes)
             stars += shapes.count(3)
             total += len(shapes)
         assert (stars, total) == STARS_AND_QUARTETS[n]
@@ -268,12 +280,7 @@ class TestRecognize:
                 tuple(sorted((index[u], index[v]))) for u, v in g.edge_list()
             }
             plan = _SearchPlan(n, edges_idx, 1)
-            found = False
-            for masks in iter_topologies(n):
-                if plan.search(masks):
-                    found = True
-                    break
-            assert not found
+            assert not any(plan.solve(masks, code) for masks, code in iter_topologies(n, plan.extend))
 
     def test_atlas_graphs_are_pcgs(self):
         # every graph on <= 7 vertices is a PCG (Calamoneri, Frascaria &
@@ -329,8 +336,11 @@ def own_topology(cert):
 
 class TestQuartetPruning:
     def test_own_topology_is_never_pruned(self):
-        # the search on the topology of a valid certificate must find an
-        # assignment: pruning only removes assignments no tree realizes
+        # the search must reach the topology of a valid certificate with at
+        # least one assignment: pruning only removes assignments no tree
+        # realizes.  The hook is followed only along the placements of the
+        # certificate's own topology, whose masks cut to leaves 0..k are
+        # those of its partial topology on them.
         rng = random.Random(0xC0FFEE)
         searched = 0
         while searched < 200:
@@ -340,7 +350,13 @@ class TestQuartetPruning:
             searched += 1
             masks, n, pairs = own_topology(cert)
             plan = _SearchPlan(n, pairs, cert.order)
-            assert plan.search(masks) is not None
+            own = set(masks)
+
+            def along_own(k, prefix, code, own=own, plan=plan):
+                if set(prefix) == {m & (2 << k) - 1 for m in own} - {0}:
+                    yield from plan.extend(k, prefix, code)
+
+            assert any(set(found) == own for found, _ in iter_topologies(n, along_own))
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_can_be_le_matches_lp(self, q):
@@ -585,7 +601,7 @@ class TestAutomorphisms:
         graphs += [EDGELESS7, COMPLETE7, non_glp_family(2), CERT8_Q1, CERT8_Q2]
         for graph in graphs:
             expected = orbit_representatives(graph)
-            assert list(_GraphSearch(graph).topologies(None)) == expected, graph.edge_list()
+            assert kept_by_orbit_filter(graph) == expected, graph.edge_list()
 
     def test_edgeless(self):
         g = SimpleGraph("abc")
@@ -676,39 +692,56 @@ def count_orbit_work(monkeypatch):
 
 
 def count_work(monkeypatch):
-    """Counters of the topologies ``iter_topologies`` yields and of the
-    topologies ``_SearchPlan.search`` is asked about, while the test runs."""
-    counts = {"topologies": 0, "searches": 0}
+    """Counters, while the test runs, of the leaf placements the search
+    plan's hook is called on, of the partial assignments it checks against
+    quartets (one per placement the orbit filter keeps and one per region
+    tried for a free pair),
+    of the (topology, assignment) pairs ``iter_topologies`` yields and of
+    the exact LPs ``_SearchPlan.solve`` runs on them."""
+    counts = {"placements": 0, "assignments": 0, "topologies": 0, "lps": 0}
     topologies = recognition.iter_topologies
-    search = recognition._SearchPlan.search
+    plan_class = recognition._SearchPlan
+    extend, passes, solve = plan_class.extend, plan_class._passes, plan_class.solve
 
     def counting_topologies(*args):
-        for masks in topologies(*args):
+        for item in topologies(*args):
             counts["topologies"] += 1
-            yield masks
+            yield item
 
-    def counting_search(plan, masks):
-        counts["searches"] += 1
-        return search(plan, masks)
+    def counting_extend(plan, *args):
+        counts["placements"] += 1
+        return extend(plan, *args)
+
+    def counting_passes(plan, *args):
+        counts["assignments"] += 1
+        return passes(plan, *args)
+
+    def counting_solve(plan, *args):
+        counts["lps"] += 1
+        return solve(plan, *args)
 
     monkeypatch.setattr(recognition, "iter_topologies", counting_topologies)
-    monkeypatch.setattr(recognition._SearchPlan, "search", counting_search)
+    monkeypatch.setattr(plan_class, "extend", counting_extend)
+    monkeypatch.setattr(plan_class, "_passes", counting_passes)
+    monkeypatch.setattr(plan_class, "solve", counting_solve)
     return counts
 
 
 class TestOrbitFilter:
     def test_non_glp_family_2_search_count(self, monkeypatch):
-        """Deterministic work counts of the orbit-filtered topology loop.
+        """Deterministic work counts of the leaf-insertion search.
 
-        The topologies of one graph share each quartet verdict, and equal
+        Every placement of the last leaf is cut by the orbit filter or by
+        its quartets, so no (topology, assignment) pair comes out and no LP
+        is needed (39,208 topologies and 688 region searches when each
+        orbit representative searched its regions from scratch).  The
+        placements of one graph share each quartet verdict, and equal
         region patterns share one decision, so from an empty cache the
-        closed-form test runs 653 times (2,403 with one decision per
-        quartet verdict, 355,825 when every topology recomputed its own),
-        and no LP is needed.  The orbit test
-        compares a key only with the images of the automorphisms that can
-        map one of its masks onto its first: 27,279 comparisons, where
-        comparing each key that passes the least-image test with every
-        automorphism made about 184,000."""
+        closed-form test runs 732 times (355,825 when every topology
+        recomputed its own).  The orbit test compares a key only with the
+        images of the automorphisms that can map one of its masks onto its
+        first: 18,558 comparisons, where comparing each key that passes the
+        least-image test with every automorphism made about 184,000."""
         counts = count_work(monkeypatch)
         orbit_work = count_orbit_work(monkeypatch)
         verdicts, lps = [], []
@@ -726,7 +759,7 @@ class TestOrbitFilter:
         monkeypatch.setattr(exactlp, "find_feasible_point", counting_lp)
         recognition._checks_pass.cache_clear()
         assert recognize_glp(non_glp_family(2), 2) is None
-        assert counts == {"topologies": 39208, "searches": 688}
+        assert counts == {"placements": 25331, "assignments": 38918, "topologies": 0, "lps": 0}
         assert len(lps) == 0
         assert len(verdicts) < 1000
         assert orbit_work["comparisons"] < 40000
@@ -755,19 +788,19 @@ class TestOrbitFilter:
                 monkeypatch.setattr(module, "_leaf_masks", counting)
         assert recognize_glp(non_glp_family(2), 2) is None
         assert len(walks) == 0
-        assert counts == {"topologies": 39208, "searches": 688}
+        assert counts == {"placements": 25331, "assignments": 38918, "topologies": 0, "lps": 0}
 
     def test_p8_q1_search_count(self, monkeypatch):
         # the forced-quartet cut leaves one topology, which succeeds;
         # without it every one of the 19,864 orbit representatives was searched
         counts = count_work(monkeypatch)
         assert recognize_glp(P8, 1) is not None
-        assert counts["searches"] == 1
+        assert counts == {"placements": 47, "assignments": 33, "topologies": 1, "lps": 1}
 
     def test_sun7_q1_search_count(self, monkeypatch):
         counts = count_work(monkeypatch)  # 1,436 searches without the cut
         assert recognize_glp(SUN7, 1) is None
-        assert counts["searches"] == 1
+        assert counts == {"placements": 886, "assignments": 496, "topologies": 1, "lps": 1}
 
 
 def index_pairs(graph):
@@ -802,35 +835,49 @@ class TestForcedQuartetCut:
         for graph in graphs:
             n, pairs = len(graph), index_pairs(graph)
             plan = _SearchPlan(n, pairs, 1)
-            kept = set(iter_topologies(n, plan.prefix_ok))
+            reached = list(iter_topologies(n, plan.extend))
+            assert {code for _, code in reached} <= {plan.forced_code}
+            kept = {masks for masks, _ in reached}
             passing = set()
             for masks in iter_topologies(n):
                 if masks not in kept:
                     dropped_total += 1
-                    assert plan.search(masks) is None
+                    assert plan.solve(masks, plan.forced_code) is None
                 if passes_every_quartet(masks, n, pairs):
                     passing.add(masks)
             assert kept == passing
         assert dropped_total > 0
 
     def test_graph_with_no_failing_quartet_gets_no_cut(self):
-        assert _SearchPlan(5, set(itertools.combinations(range(5), 2)), 1).prefix_ok is None
+        # K5 at q = 1: no quartet is checked and every topology is reached
+        plan = _SearchPlan(5, set(itertools.combinations(range(5), 2)), 1)
+        assert not any(checked for *_, checked in plan.steps)
+        reached = list(iter_topologies(5, plan.extend))
+        assert [masks for masks, _ in reached] == list(iter_topologies(5))
+        assert {code for _, code in reached} == {plan.forced_code}
 
     def test_order_holds_only_the_free_pairs(self):
-        # a forced pair is fixed once in forced_code, never at a DFS level;
-        # at q = 2 the 20 edges of non_glp_family(2) are forced to region 1
+        # a forced pair is fixed once per leaf in the step's forced code,
+        # never branched on; at q = 2 the 20 edges of non_glp_family(2) are
+        # forced to region 1
         graph = non_glp_family(2)
         n, pairs = len(graph), index_pairs(graph)
         for q, free in ((1, 0), (2, 8), (3, 28)):
             plan = _SearchPlan(n, pairs, q)
-            assert len(plan.order) == free and len(plan.pairs) == 28
+            branched = []
+            for k, (forced, step_free, _, _) in enumerate(plan.steps):
+                branched += [shift // plan.width for shift, _ in step_free]
+                assert all(plan.pairs[shift // plan.width][1] == k for shift, _ in step_free)
+            assert len(branched) == free and len(plan.pairs) == 28
+            assert sum(forced for forced, *_ in plan.steps) == plan.forced_code
             for i, regions in enumerate(plan.allowed):
-                assert (i in plan.order) == (len(regions) > 1)
+                assert (i in branched) == (len(regions) > 1)
                 assert plan.region(plan.forced_code, i) == (regions[0] if len(regions) == 1 else 0)
 
     def test_nothing_is_cut_above_q1(self):
         # a forced quartet at q = 2 has six edges, all in region 1, and
-        # equal regions pass every check; at q = 3 no pair is forced
+        # equal regions pass every check; at q = 3 no pair is forced; so
+        # every quartet the plan checks has a free pair
         nx = pytest.importorskip("networkx")
         graphs = [
             SimpleGraph(list(g.nodes), list(g.edges))
@@ -841,7 +888,12 @@ class TestForcedQuartetCut:
         for graph in graphs:
             n, pairs = len(graph), index_pairs(graph)
             for q in (2, 3):
-                assert _SearchPlan(n, pairs, q).prefix_ok is None, (q, graph.edge_list())
+                plan = _SearchPlan(n, pairs, q)
+                for _, _, checks, _ in plan.steps:
+                    for quartets in checks:
+                        for _, qmask, _, _ in quartets:  # qmask 0: its six pairs are forced
+                            free = [regions for i, regions in enumerate(plan.allowed) if qmask >> i * plan.width & 1]
+                            assert any(len(regions) > 1 for regions in free), (q, graph.edge_list())
 
     def test_leaf_rank_builds_one_plan(self, monkeypatch):
         # the GLP(1) search and every k-leaf search share the q = 1 plan
@@ -855,3 +907,59 @@ class TestForcedQuartetCut:
         monkeypatch.setattr(recognition, "_SearchPlan", CountingPlan)
         assert leaf_rank(P8) == 3
         assert len(plans) == 1
+
+
+# G(9, 0.5) with a trivial automorphism group; each orbit representative
+# ran its own region search from scratch, 13-17 s in all
+G9 = SimpleGraph(range(9), [(int(e[0]), int(e[1])) for e in (
+    "01 02 03 04 05 08 12 15 18 24 25 27 34 37 38 45 47 56 57 68 78".split())])
+NINE = RecognitionLimits(max_leaves=9)
+
+
+class TestNineVertices:
+    def test_random_graph_at_q2(self, monkeypatch):
+        counts = count_work(monkeypatch)
+        cert = recognize_glp(G9, 2, NINE)
+        assert cert is not None and verify_certificate(G9, cert)
+        assert counts == {"placements": 18614, "assignments": 71470, "topologies": 1, "lps": 1}
+
+    def test_non_glp_family_2_plus_an_isolated_vertex_at_q2(self, monkeypatch):
+        family = non_glp_family(2)
+        graph = SimpleGraph(list(family.vertices) + ["iso"], family.edge_list())
+        counts = count_work(monkeypatch)
+        assert recognize_glp(graph, 2, NINE) is None
+        assert counts == {"placements": 25331, "assignments": 115851, "topologies": 0, "lps": 0}
+
+
+# sha256 of the q = 1 outputs below, first computed before the search
+# became one leaf-insertion recursion
+Q1_DIGEST = "cc96b4955926be0d24d4bb64f7d215c62e0b857684f92eb486673e0cbee4c857"
+
+
+def test_q1_outputs_are_pinned(monkeypatch):
+    """One sha256 over the certificate JSON and exact-LP calls of
+    ``recognize_glp`` at q = 1 on the 208 atlas graphs with 1-6 vertices,
+    then the roots of ``is_k_leaf_power`` at k = 1..3 and ``leaf_rank`` on
+    those with at most 5.  A change that alters any of them re-pins it."""
+    nx = pytest.importorskip("networkx")
+    calls = []
+    find_feasible_point = exactlp.find_feasible_point
+
+    def counting_lp(*args):
+        calls.append(1)
+        return find_feasible_point(*args)
+
+    monkeypatch.setattr(exactlp, "find_feasible_point", counting_lp)
+    atlas = [SimpleGraph(list(g.nodes), list(g.edges)) for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 6]
+    assert len(atlas) == 208
+    items = []
+    for graph in atlas:
+        calls.clear()
+        cert = recognize_glp(graph, 1)
+        items.append(["glp1", graph.to_json(), cert.to_json() if cert else None, len(calls)])
+    for graph in (g for g in atlas if len(g) <= 5):
+        for k in (1, 2, 3):
+            tree = is_k_leaf_power(graph, k)
+            items.append(["k", graph.to_json(), k, tree.to_json() if tree else None])
+        items.append(["rank", graph.to_json(), leaf_rank(graph)])
+    assert hashlib.sha256(json.dumps(items).encode()).hexdigest() == Q1_DIGEST

@@ -7,9 +7,7 @@ run; ``pytest -m slow`` runs them.
 import pytest
 
 from leafpower import SimpleGraph, is_k_leaf_power, recognize_glp, verify_certificate
-from leafpower.recognition import _GraphSearch
-
-from conftest import is_k_leaf_power_by_literature, orbit_representatives
+from conftest import is_k_leaf_power_by_literature, kept_by_orbit_filter, orbit_representatives
 
 nx = pytest.importorskip("networkx")
 
@@ -62,4 +60,4 @@ def test_7_vertex_orbit_filters_match_their_definition():
     for g in atlas7():
         graph = SimpleGraph(list(g.nodes), list(g.edges))
         expected = orbit_representatives(graph)
-        assert list(_GraphSearch(graph).topologies(None)) == expected, list(g.edges)
+        assert kept_by_orbit_filter(graph) == expected, list(g.edges)
