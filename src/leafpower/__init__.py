@@ -56,7 +56,6 @@ from .tree_metric import (
     check_split_lemma,
     check_twins_lemma,
     classify_leaf_quartet,
-    contract_degree_two,
     four_point_classify,
     restrict_to_leaves,
 )

@@ -60,9 +60,10 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
-# fuzz classifies all C(n, 4) leaf quartets of every tree, at 70-125 us
-# each (x86_64, Python 3.11): a 24-leaf tree has 10,626 quartets and takes
-# 0.8 s, a 32-leaf tree 36k and 2.5 s, a 200-leaf tree 65M and over an hour
+# fuzz classifies all C(n, 4) leaf quartets of every tree, at 8-13 us each
+# (x86_64, Python 3.11): a 24-leaf tree has 10,626 quartets and takes
+# 0.08-0.14 s, a 32-leaf tree 36k and 0.3 s, a 200-leaf tree 65M and about
+# 10 minutes
 FUZZ_LEAF_CAP = 24
 
 

@@ -3,6 +3,7 @@ and integer normalization of certificates."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -87,7 +88,13 @@ class SimpleGraph:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimpleGraph":
-        return cls(data["vertices"], [tuple(e) for e in data["edges"]])
+        vertices, edges = data["vertices"], [tuple(e) for e in data["edges"]]
+        # only strings survive a JSON round trip: leaf labels come back as
+        # object keys, which are strings
+        for name in itertools.chain(vertices, *edges):
+            if not isinstance(name, str):
+                raise MalformedGraphError(f"vertex name {name!r} is not a string")
+        return cls(vertices, edges)
 
     @classmethod
     def from_json(cls, text: str) -> "SimpleGraph":
@@ -276,7 +283,6 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
         tree.leaf_labels,
         vertices=tree.vertices,
     )
-    new_matrix = new_tree.distance_matrix()
     new_value_of = {}
     for value in values:
         path = by_value[value][0]

@@ -51,7 +51,7 @@ from .glp_core import (
     integerize_certificate,
     is_chordal,
 )
-from .tree_metric import WeightedTree, _leaf_paths
+from .tree_metric import WeightedTree, _leaf_paths, _tree_from
 
 TOPOLOGY_LEAF_CAP = 9  # n! leaf placements explode beyond this at desk scale
 THRESHOLD_CAP = 1000  # a GLP(q) certificate holds q thresholds
@@ -141,25 +141,6 @@ def iter_topologies(n: int, _extend=None) -> Iterator[tuple]:
                     masks[i] ^= bit
 
     yield from rec(2, 0)
-
-
-def _mask_edges(masks, n: int) -> list:
-    """The ``(u, v)`` edges, u < v, of the topology whose edge leaf masks
-    are ``masks`` (``iter_topologies``), in mask order.
-
-    The far end of an edge is leaf i for the mask ``1 << i`` and otherwise
-    the internal vertex numbered n + (its rank among the internal far
-    ends).  The near end is the far end of the least mask that strictly
-    contains it, or leaf 0.
-    """
-    far = {m: m.bit_length() - 1 for m in masks}
-    for i, m in enumerate(m for m in masks if m & (m - 1)):
-        far[m] = n + i
-    edges = []
-    for m in masks:
-        above = [p for p in masks if p & m == m and p != m]
-        edges.append(tuple(sorted((far[m], far[min(above)] if above else 0))))
-    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -617,21 +598,6 @@ class _SearchPlan:
             return None
         weights = [solution[e] + 1 for e in range(m)]
         return weights, list(itertools.accumulate(solution[m + j] + 1 for j in range(q)))
-
-
-def _tree_from(masks, labels, weights) -> WeightedTree:
-    """The weighted tree of a topology given by its edge leaf masks, with
-    ``weights`` in mask order: leaf i is named ``labels[i]`` and internal
-    vertex v of ``_mask_edges`` is named ``int{v - n}``."""
-    n = len(labels)
-
-    def name(v):
-        return labels[v] if v < n else f"int{v - n}"
-
-    return WeightedTree(
-        [(name(u), name(v), w) for (u, v), w in zip(_mask_edges(masks, n), weights)],
-        {label: label for label in labels},
-    )
 
 
 class _GraphSearch:

@@ -33,8 +33,8 @@ from .glp_core import (
     verify_certificate,
 )
 from .rational import format_rational, parse_rational
-from .recognition import TOPOLOGY_LEAF_CAP, _tree_from, iter_topologies
-from .tree_metric import WeightedTree, _distances, _leaf_paths, restrict_to_leaves
+from .recognition import TOPOLOGY_LEAF_CAP, iter_topologies
+from .tree_metric import WeightedTree, _distances, _leaf_paths, _tree_from, restrict_to_leaves
 
 TOC_REALIZABILITY_CAP = 7
 # q = 8 builds 512 vertices and 87,296 edges in about 1 s and 100 MB (2-core

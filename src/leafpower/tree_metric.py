@@ -83,6 +83,41 @@ def _leaf_paths(masks, n: int) -> dict:
     }
 
 
+def _mask_edges(masks, n: int) -> list:
+    """The ``(u, v)`` edges, u < v, of the topology whose edge leaf masks
+    are ``masks`` (as ``recognition.iter_topologies`` yields them), in
+    mask order.
+
+    The far end of an edge is leaf i for the mask ``1 << i`` and otherwise
+    the internal vertex numbered n + (its rank among the internal far
+    ends).  The near end is the far end of the least mask that strictly
+    contains it, or leaf 0.
+    """
+    far = {m: m.bit_length() - 1 for m in masks}
+    for i, m in enumerate(m for m in masks if m & (m - 1)):
+        far[m] = n + i
+    edges = []
+    for m in masks:
+        above = [p for p in masks if p & m == m and p != m]
+        edges.append(tuple(sorted((far[m], far[min(above)] if above else 0))))
+    return edges
+
+
+def _tree_from(masks, labels, weights) -> WeightedTree:
+    """The weighted tree of a topology given by its edge leaf masks, with
+    ``weights`` in mask order: leaf i is named ``labels[i]`` and internal
+    vertex v of ``_mask_edges`` is named ``int{v - n}``."""
+    n = len(labels)
+
+    def name(v):
+        return labels[v] if v < n else f"int{v - n}"
+
+    return WeightedTree(
+        [(name(u), name(v), w) for (u, v), w in zip(_mask_edges(masks, n), weights)],
+        {label: label for label in labels},
+    )
+
+
 class WeightedTree:
     """An immutable positively weighted tree with labeled leaves.
 
@@ -236,11 +271,16 @@ class WeightedTree:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "WeightedTree":
-        return cls(
-            [(u, v, parse_rational(w)) for u, v, w in data["edges"]],
-            dict(data["leaves"]),
-            vertices=data.get("vertices"),
-        )
+        edges = [(u, v, parse_rational(w)) for u, v, w in data["edges"]]
+        leaves = dict(data["leaves"])
+        vertices = data.get("vertices")
+        # only strings survive a JSON round trip: leaf labels come back as
+        # object keys, which are strings
+        names = itertools.chain(vertices or (), *(e[:2] for e in edges), leaves.values())
+        for name in names:
+            if not isinstance(name, str):
+                raise MalformedTreeError(f"vertex name {name!r} is not a string")
+        return cls(edges, leaves, vertices=vertices)
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedTree":
@@ -272,7 +312,7 @@ class QuartetVerdict:
     sums: tuple
 
 
-def _metric_lookup(d: Mapping, points):
+def _metric_lookup(d: Mapping):
     def get(a, b):
         if a == b:
             val = d.get((a, b), Fraction(0))
@@ -289,6 +329,20 @@ def _metric_lookup(d: Mapping, points):
     return get
 
 
+def _quartet_verdict(s1, s2, s3) -> QuartetVerdict:
+    """The four-point case of the pair sums ``(s1, s2, s3)`` of a quartet."""
+    sums = (s1, s2, s3)
+    if s1 == s2 == s3:
+        return QuartetVerdict(4, sums)
+    if s1 == s2 > s3:
+        return QuartetVerdict(1, sums)
+    if s1 == s3 > s2:
+        return QuartetVerdict(2, sums)
+    if s2 == s3 > s1:
+        return QuartetVerdict(3, sums)
+    return QuartetVerdict(VIOLATION, sums)
+
+
 def four_point_classify(d: Mapping, points=None) -> QuartetVerdict:
     """Classify an ordered 4-point metric into the four tree-metric cases.
 
@@ -303,27 +357,17 @@ def four_point_classify(d: Mapping, points=None) -> QuartetVerdict:
     if len(pts) != 4 or len(set(pts)) != 4:
         raise MalformedMetricError(f"need exactly 4 distinct points, got {pts!r}")
     x, y, z, t = pts
-    get = _metric_lookup(d, pts)
-    s1 = get(x, y) + get(t, z)
-    s2 = get(x, z) + get(t, y)
-    s3 = get(y, z) + get(t, x)
-    sums = (s1, s2, s3)
-    if s1 == s2 == s3:
-        return QuartetVerdict(4, sums)
-    if s1 == s2 > s3:
-        return QuartetVerdict(1, sums)
-    if s1 == s3 > s2:
-        return QuartetVerdict(2, sums)
-    if s2 == s3 > s1:
-        return QuartetVerdict(3, sums)
-    return QuartetVerdict(VIOLATION, sums)
+    get = _metric_lookup(d)
+    return _quartet_verdict(get(x, y) + get(t, z), get(x, z) + get(t, y), get(y, z) + get(t, x))
 
 
 def classify_leaf_quartet(tree: WeightedTree, x, y, z, t) -> QuartetVerdict:
-    """Four-point classification of four labeled leaves of a tree."""
+    """Four-point classification of four labeled leaves of a tree, from the
+    tree's own distance matrix."""
+    if len({x, y, z, t}) != 4:
+        raise MalformedMetricError(f"need exactly 4 distinct points, got {[x, y, z, t]!r}")
     m = tree.distance_matrix()
-    d = {(a, b): m[(a, b)] for a in (x, y, z, t) for b in (x, y, z, t)}
-    return four_point_classify(d, (x, y, z, t))
+    return _quartet_verdict(m[x, y] + m[t, z], m[x, z] + m[t, y], m[y, z] + m[t, x])
 
 
 def check_split_lemma(tree: WeightedTree, a1, a2, b1, b2, x, y) -> bool:
@@ -354,52 +398,23 @@ def check_twins_lemma(tree: WeightedTree, a1, a2, b, c, x) -> bool:
     return d(a1, b) < d(a2, b) and d(a1, c) < d(a2, c)
 
 
-def contract_degree_two(tree: WeightedTree) -> WeightedTree:
-    """Merge away unlabeled degree-2 vertices, preserving all leaf distances."""
-    adj = {v: dict(tree.neighbors(v)) for v in tree.vertices}
-    labeled = set(tree.leaf_labels.values())
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if v in labeled or len(adj[v]) != 2:
-                continue
-            (a, wa), (b, wb) = adj[v].items()
-            del adj[a][v]
-            del adj[b][v]
-            del adj[v]
-            adj[a][b] = wa + wb
-            adj[b][a] = wa + wb
-            changed = True
-    edges = []
-    for u in adj:
-        for v, w in adj[u].items():
-            if str(u) < str(v) or (str(u) == str(v) and u < v):
-                edges.append((u, v, w))
-    return WeightedTree(edges, tree.leaf_labels, vertices=list(adj))
-
-
 def restrict_to_leaves(tree: WeightedTree, subset) -> WeightedTree:
-    """Minimal Steiner subtree spanning ``subset``, degree-two contracted."""
+    """Minimal Steiner subtree spanning ``subset``, degree-two contracted.
+
+    One leaf-mask pass over the kept leaves: an edge with mask 0 has none
+    of them beyond it and is dropped; the edges sharing a nonzero mask form
+    one path through degree-2 vertices and become one edge between the two
+    vertices that appear once in the group, weighted by the path's length.
+    """
     subset = list(subset)
     if len(subset) < 2:
         raise DegenerateTreeError("restriction needs at least 2 leaves")
-    keep_vertices = {tree.vertex_of(lbl) for lbl in subset}
-    adj = {v: dict(tree.neighbors(v)) for v in tree.vertices}
-    # repeatedly strip unneeded leaves of the host tree
-    pruned = True
-    while pruned:
-        pruned = False
-        for v in list(adj):
-            if v not in keep_vertices and len(adj[v]) <= 1:
-                for nb in adj[v]:
-                    del adj[nb][v]
-                del adj[v]
-                pruned = True
-    edges = []
-    for u in adj:
-        for v, w in adj[u].items():
-            if str(u) < str(v) or (str(u) == str(v) and u < v):
-                edges.append((u, v, w))
     labels = {lbl: tree.vertex_of(lbl) for lbl in subset}
-    return contract_degree_two(WeightedTree(edges, labels, vertices=list(adj)))
+    masks = _leaf_masks([(u, v) for u, v, _ in tree.edges], list(labels.values()))
+    ends: dict = {}
+    length: dict = {}
+    for (u, v, w), m in zip(tree.edges, masks):
+        if m:
+            ends[m] = ends.get(m, set()) ^ {u, v}
+            length[m] = length.get(m, 0) + w
+    return WeightedTree([(*ends[m], length[m]) for m in ends], labels)

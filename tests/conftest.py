@@ -48,6 +48,47 @@ def random_weighted_tree(rng: random.Random, n_leaves: int, integer=False) -> We
     return WeightedTree([(u, v, w) for (u, v), w in edges.items()], labels)
 
 
+def subdivided(rng: random.Random, tree: WeightedTree) -> WeightedTree:
+    """``tree`` with about half its edges split by an unlabeled degree-2
+    vertex ``sub{i}``, a third of the weight on the first half."""
+    edges = []
+    for i, (u, v, w) in enumerate(tree.edges):
+        if rng.random() < 0.5:
+            edges += [(u, f"sub{i}", w / 3), (f"sub{i}", v, w - w / 3)]
+        else:
+            edges.append((u, v, w))
+    return WeightedTree(edges, tree.leaf_labels)
+
+
+def restrict_by_pruning(tree: WeightedTree, subset) -> WeightedTree:
+    """Reference restriction of ``tree`` to the leaves ``subset``, by two
+    fixed-point loops: strip unkept degree-<=1 vertices until none is left,
+    then merge away unlabeled degree-2 vertices until none is left."""
+    keep = {tree.vertex_of(lbl) for lbl in subset}
+    adj = {v: tree.neighbors(v) for v in tree.vertices}
+    pruned = True
+    while pruned:
+        pruned = False
+        for v in list(adj):
+            if v not in keep and len(adj[v]) <= 1:
+                for nb in adj[v]:
+                    del adj[nb][v]
+                del adj[v]
+                pruned = True
+    merged = True
+    while merged:
+        merged = False
+        for v in list(adj):
+            if v in keep or len(adj[v]) != 2:
+                continue
+            (a, wa), (b, wb) = adj[v].items()
+            del adj[a][v], adj[b][v], adj[v]
+            adj[a][b] = adj[b][a] = wa + wb
+            merged = True
+    edges = [(u, v, w) for u in adj for v, w in adj[u].items() if str(u) < str(v)]
+    return WeightedTree(edges, {lbl: tree.vertex_of(lbl) for lbl in subset}, vertices=list(adj))
+
+
 def random_certificate(rng: random.Random, max_leaves=8, max_q=3) -> GlpCertificate:
     n = rng.randint(2, max_leaves)
     q = rng.randint(1, max_q)

@@ -191,6 +191,15 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "recognize", str(tmp_path / "nope.json"), "-q", "1")[0] == 2
 
 
+def test_integer_vertex_names_exit_2(capsys, tmp_path):
+    # leaf labels come back from JSON as strings, so a certificate for these
+    # names would not verify against the graph it was made for
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]]}))
+    code, out, err = run(capsys, "recognize", str(path), "-q", "1")
+    assert code == 2 and out == "" and "not a string" in err
+
+
 def test_recognize_large_q(capsys, monkeypatch, tmp_path):
     # q = 300 on 5 vertices searches at q = 11 and pads the certificate;
     # a q over the threshold cap exits 3 before any search

@@ -49,6 +49,18 @@ class TestSimpleGraph:
         g = SimpleGraph("abcd", [("a", "b"), ("c", "d")])
         assert SimpleGraph.from_json(g.to_json()) == g
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"vertices": [1, 2], "edges": []},
+            {"vertices": ["1", 1], "edges": []},
+            {"vertices": ["a", "b"], "edges": [["a", None]]},
+        ],
+    )
+    def test_json_rejects_non_string_names(self, data):
+        with pytest.raises(MalformedGraphError, match="not a string"):
+            SimpleGraph.from_json_dict(data)
+
     def test_complement_k4(self):
         k4 = SimpleGraph("abcd", itertools.combinations("abcd", 2))
         assert complement(k4).edge_list() == []

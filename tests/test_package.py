@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,14 @@ def test_runtime_imports_only_the_standard_library():
     ).stdout
     top = {name.split(".")[0] for name in out.split()}
     assert top - set(sys.stdlib_module_names) - {"leafpower", "__main__"} == set()
+
+
+def test_private_names_are_imported_only_from_tree_metric():
+    # tree_metric owns the shared private helpers (the tree walk and the
+    # edge leaf-mask format); no other module lends out underscore names
+    offenders = []
+    for path in sorted((ROOT / "src" / "leafpower").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != "tree_metric":
+                offenders += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []

@@ -33,12 +33,11 @@ from leafpower.recognition import (
     _SearchPlan,
     _can_be_le,
     _groupings_and_checks,
-    _mask_edges,
     _quartet_shapes,
     graph_automorphisms,
     iter_topologies,
 )
-from leafpower.tree_metric import _leaf_masks, _leaf_paths
+from leafpower.tree_metric import _leaf_masks, _leaf_paths, _mask_edges
 
 from conftest import (
     automorphisms_by_scan,

@@ -21,13 +21,14 @@ from leafpower import (
     leaf_root_from_tree,
     non_glp_family,
     recognize_glp,
+    restrict_to_leaves,
     toc_from_tree,
     toc_realizability_small,
     verify_certificate,
 )
 from leafpower.reductions import TocInstance, minus, plus
 
-from conftest import random_weighted_tree
+from conftest import random_weighted_tree, restrict_by_pruning
 
 
 def random_toc_tree(rng, n, spread=40):
@@ -307,6 +308,16 @@ class TestExtract:
                 if minus(i) in (z, z2) or not ext.prec(minus(i), z, z2):
                     continue
                 assert t.vertex_distance(u, f"v_{z}") < t.vertex_distance(u, f"v_{z2}")
+
+    def test_restriction_matches_pruning(self, rng):
+        # the restriction extract_toc_tree takes: the leaf root to its minus copies
+        for n in (3, 4):
+            for _ in range(3):
+                tree, toc = random_toc_tree(rng, n)
+                cert, gadget = leaf_root_from_tree(tree, toc), build_gs(toc)
+                keep = [gadget.v(minus(i)) for i in gadget.elements]
+                r, ref = restrict_to_leaves(cert.tree, keep), restrict_by_pruning(cert.tree, keep)
+                assert r == ref and r.vertices == ref.vertices
 
     def test_bad_witness_rejected(self, rng):
         tree, toc = random_toc_tree(rng, 3)

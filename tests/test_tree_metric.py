@@ -17,13 +17,12 @@ from leafpower import (
     check_split_lemma,
     check_twins_lemma,
     classify_leaf_quartet,
-    contract_degree_two,
     four_point_classify,
     restrict_to_leaves,
 )
 from leafpower import tree_metric
 
-from conftest import random_weighted_tree
+from conftest import random_weighted_tree, restrict_by_pruning, subdivided
 
 
 def dijkstra_oracle(tree, src):
@@ -125,6 +124,18 @@ class TestWeightedTree:
         t = random_weighted_tree(rng, 7)
         assert WeightedTree.from_json(t.to_json()) == t
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"vertices": ["a", 1], "edges": [["a", 1, "1"]], "leaves": {"a": "a", "b": 1}},
+            {"edges": [["a", 1, "1"]], "leaves": {"a": "a", "b": 1}},
+            {"edges": [["a", "b", "1"]], "leaves": {"a": "a", "b": ["b"]}},
+        ],
+    )
+    def test_json_rejects_non_string_names(self, data):
+        with pytest.raises(MalformedTreeError, match="not a string"):
+            WeightedTree.from_json_dict(data)
+
 
 class TestFourPoint:
     def test_unit_star_case4(self):
@@ -164,6 +175,18 @@ class TestFourPoint:
                 d[(p, q)] = Fraction(1)
         verdict = four_point_classify(d, points=("a", "b", "c", "d"))
         assert verdict.case_id == VIOLATION
+
+    def test_leaf_quartet_matches_matrix_classifier(self):
+        # classify_leaf_quartet reads its pair sums straight off the tree's
+        # matrix; in every ordering it agrees with the validating classifier
+        t = random_weighted_tree(random.Random(8), 6)
+        for quad in itertools.permutations(t.labels(), 4):
+            assert classify_leaf_quartet(t, *quad) == four_point_classify(t.distance_matrix(), quad)
+
+    def test_leaf_quartet_needs_distinct_leaves(self):
+        t = WeightedTree([("c", x, 1) for x in "wxyz"], {x: x for x in "wxyz"})
+        with pytest.raises(MalformedMetricError, match="4 distinct points"):
+            classify_leaf_quartet(t, "w", "w", "y", "z")
 
     def test_asymmetric_rejected(self):
         d = {("a", "b"): 1, ("b", "a"): 2}
@@ -241,7 +264,7 @@ class TestNormalization:
         t = WeightedTree(
             [("a", "u", 2), ("u", "b", 3)], {"a": "a", "b": "b"}
         )
-        c = contract_degree_two(t)
+        c = restrict_to_leaves(t, t.labels())
         assert len(c.vertices) == 2
         assert c.distance("a", "b") == 5
 
@@ -249,24 +272,13 @@ class TestNormalization:
         t = WeightedTree(
             [("c", x, 1) for x in "abd"], {x: x for x in "abd"}
         )
-        assert contract_degree_two(t) == t
+        assert restrict_to_leaves(t, t.labels()) == t
 
     def test_contract_preserves_distances_and_size(self):
         rng = random.Random(99)
         for _ in range(30):
             t = random_weighted_tree(rng, rng.randint(4, 10))
-            # subdivide a few edges to create degree-2 vertices
-            edges = list(t.edges)
-            extra = []
-            for i, (u, v, w) in enumerate(edges):
-                if rng.random() < 0.5:
-                    mid = f"sub{i}"
-                    extra.append((u, mid, w / 3))
-                    extra.append((mid, v, w - w / 3))
-                else:
-                    extra.append((u, v, w))
-            sub = WeightedTree(extra, t.leaf_labels)
-            c = contract_degree_two(sub)
+            c = restrict_to_leaves(subdivided(rng, t), t.labels())
             n = len(t.labels())
             assert len(c.vertices) <= 2 * n - 1
             for a, b in itertools.combinations(t.labels(), 2):
@@ -275,7 +287,7 @@ class TestNormalization:
     def test_restrict_all_is_contract(self):
         rng = random.Random(5)
         t = random_weighted_tree(rng, 6)
-        assert restrict_to_leaves(t, set(t.labels())) == contract_degree_two(t)
+        assert restrict_to_leaves(t, set(t.labels())) == restrict_by_pruning(t, t.labels()) == t
 
     def test_restrict_star_pair(self):
         t = WeightedTree(
@@ -295,6 +307,18 @@ class TestNormalization:
             assert set(r.labels()) == set(subset)
             for a, b in itertools.combinations(subset, 2):
                 assert r.distance(a, b) == t.distance(a, b)
+
+    def test_restrict_matches_pruning(self):
+        # every subset size of subdivided random trees, vertex names included
+        rng = random.Random(2024)
+        for _ in range(40):
+            t = subdivided(rng, random_weighted_tree(rng, rng.randint(2, 9)))
+            labels = t.labels()
+            for size in range(2, len(labels) + 1):
+                for _ in range(3):
+                    subset = rng.sample(labels, size)
+                    r, ref = restrict_to_leaves(t, subset), restrict_by_pruning(t, subset)
+                    assert r == ref and r.vertices == ref.vertices
 
     def test_restrict_too_small(self):
         t = WeightedTree([("a", "b", 1)], {"a": "a", "b": "b"})
