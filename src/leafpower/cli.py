@@ -133,8 +133,15 @@ def _tree_dot(tree: WeightedTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the subcommands that render their output as DOT under --emit-dot; the
+# others have no graph or tree to render and do not take the flag
+_DOT_COMMANDS = (
+    "recognize", "k-leaf-power", "gen-gs", "make-leafroot", "extract-toc", "glp-step", "non-glp", "toc-realize"
+)
+
+
 def _maybe_dot(args, obj) -> None:
-    if getattr(args, "emit_dot", None):
+    if args.emit_dot:
         text = _tree_dot(obj) if isinstance(obj, WeightedTree) else _graph_dot(obj)
         with open(args.emit_dot, "w") as fh:
             fh.write(text)
@@ -363,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         for arg, help_text in files.items():
             sub.add_argument(arg, help=help_text)
-        sub.add_argument("--emit-dot", metavar="PATH", help="also write a DOT rendering")
+        if name in _DOT_COMMANDS:
+            sub.add_argument("--emit-dot", metavar="PATH", help="also write a DOT rendering")
         sub.set_defaults(fn=fn)
         return sub
 
@@ -388,10 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("complement-cert", _cmd_complement_cert, cert="certificate JSON path")
     add("glp-step", _cmd_glp_step, graph="graph JSON path")
 
-    sub = subs.add_parser("non-glp")
+    sub = add("non-glp", _cmd_non_glp)
     sub.add_argument("q", type=int)
-    sub.add_argument("--emit-dot", metavar="PATH")
-    sub.set_defaults(fn=_cmd_non_glp)
 
     add("check-4pc", _cmd_check_4pc, matrix="distance matrix JSON path")
     add("toc-realize", _cmd_toc_realize, toc="TOC text path")

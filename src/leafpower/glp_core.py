@@ -199,7 +199,12 @@ def verify_certificate(graph: SimpleGraph, cert: GlpCertificate) -> bool:
 @dataclass(frozen=True)
 class IntegerizeResult:
     """Outcome of integerization; ``basic`` marks a margin-1 vertex solution,
-    for which the Hadamard weight bound |E|^{|E|/2} is guaranteed."""
+    for which the Hadamard weight bound |E|^{|E|/2} is guaranteed.
+
+    Every system with all margins 1 gets that flag: ``find_feasible_point``
+    returns a basic feasible solution, whose positive entries sit on
+    independent basis columns, so its weights are already a vertex of the
+    separation polyhedron and no rank test is needed."""
 
     certificate: GlpCertificate
     basic: bool
@@ -293,8 +298,7 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
     if graph_from_certificate(new_cert) != graph_from_certificate(cert):
         raise InternalError("integerize: the integer certificate induces another graph")
 
-    basic = basic_margins and _is_vertex(solution, constraints, m)
-    return IntegerizeResult(new_cert, basic)
+    return IntegerizeResult(new_cert, basic_margins)
 
 
 def _replace_thresholds(thresholds, values, new_value_of):
@@ -317,26 +321,6 @@ def _replace_thresholds(thresholds, values, new_value_of):
                 raise InternalError("integerize: gap margin too small for thresholds")
         new_thresholds.append(candidate)
     return new_thresholds
-
-
-def _is_vertex(solution, constraints, num_vars) -> bool:
-    point = list(solution)
-    tight_rows = []
-    for coeffs, rel, rhs in constraints:
-        value = sum(Fraction(c) * point[i] for i, c in coeffs.items())
-        if rel == exactlp.EQ or value == Fraction(rhs):
-            row = [0] * num_vars
-            for i, c in coeffs.items():
-                row[i] = c
-            tight_rows.append(row)
-    for i, x in enumerate(point):
-        if x == 0:
-            row = [0] * num_vars
-            row[i] = 1
-            tight_rows.append(row)
-    if not tight_rows:
-        return num_vars == 0
-    return exactlp.rational_rank(tight_rows) == num_vars
 
 
 def _path_coeffs(path):

@@ -17,18 +17,18 @@ topology that is not the least of its orbit under the graph's
 automorphisms is dropped, and every surviving (topology, assignment)
 pair is decided by a margin-1 exact LP over edge weights and thresholds.
 
-One ``_SearchPlan`` per graph and q holds whatever depends only on them:
-the pairs, their allowed regions, the forced pairs (those with one
-allowed region), per leaf the quartets to check and their verdicts, and
-the LP rows of an assignment.  Tables that depend on n alone (the shapes
-each edge mask gives the quartets of a leaf, ``_split_table``; the pairs
-of each quartet) and the verdict of each region pattern are built once
-per process.  At q = 1 every pair is forced, so the recursion is a cut of
-the topologies whose quartets fail.  A k-leaf root is a GLP(1)
-certificate with integer weights and theta_1 = k, so the k-leaf search
-runs an integer program on the q = 1 plan's rows.  ``_GraphSearch``
-holds what the searches on one graph share: its edges, the orbit filter
-of its automorphisms and one plan per q.
+One ``_SearchPlan`` per graph and q is the whole search: it holds the
+graph's labels and edges, the orbit filter of its automorphisms, the
+pairs, their allowed regions, the forced pairs (those with one allowed
+region), per leaf the quartets to check and their verdicts, and the LP
+rows of an assignment.  Tables that depend on n alone (the shapes each
+edge mask gives the quartets of a leaf, ``_split_table``; the six pairs
+of each quartet, ``_quartet_pairs``) and the verdict of each region
+pattern are built once per process.  At q = 1 every pair is forced, so
+the recursion is a cut of the topologies whose quartets fail.  A k-leaf
+root is a GLP(1) certificate with integer weights and theta_1 = k, so
+the k-leaf search runs an integer program on a q = 1 plan's rows, and
+``leaf_rank`` runs its GLP(1) search and every k on one plan.
 """
 
 from __future__ import annotations
@@ -353,16 +353,6 @@ _SPLIT_CHECKS = ((1, 2), (2, 1), (0, 1), (0, 2))
 _STAR_CHECKS = tuple(itertools.permutations(range(3), 2))
 
 
-def _groupings_and_checks(quartet, shape):
-    """The quartet's three pair groupings, the split grouping first when
-    the shape is a split, and the checks that apply to their sums."""
-    a, b, c, d = quartet
-    groupings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
-    if shape == 3:
-        return groupings, _STAR_CHECKS
-    return (groupings[shape],) + groupings[:shape] + groupings[shape + 1:], _SPLIT_CHECKS
-
-
 @functools.cache
 def _split_table(k: int) -> list:
     """Per leaf mask m over leaves 0..k: a dict from t, the index of
@@ -397,23 +387,15 @@ def _quartet_shapes(masks, k: int) -> dict:
 
 
 @functools.cache
-def _quartet_sums(n: int) -> list:
+def _quartet_pairs(n: int) -> list:
     """Per leaf k < n: for each quartet a < b < c < k, in the order of
-    ``_split_table(k)``, the indices of its six pairs in
-    ``itertools.combinations(range(n), 2)`` and, per shape, its
-    ``_groupings_and_checks`` with each pair given by that index."""
+    ``_split_table(k)``, the indices of its six pairs ab, ac, ak, bc, bk,
+    ck in ``itertools.combinations(range(n), 2)``."""
     index = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
-    per_leaf = []
-    for k in range(n):
-        quartets = []
-        for quartet in ((a, b, c, k) for a, b, c in itertools.combinations(range(k), 3)):
-            by_shape = []
-            for shape in range(4):
-                groupings, checks = _groupings_and_checks(quartet, shape)
-                by_shape.append((tuple((index[p1], index[p2]) for p1, p2 in groupings), checks))
-            quartets.append((tuple(index[p] for p in itertools.combinations(quartet, 2)), by_shape))
-        per_leaf.append(quartets)
-    return per_leaf
+    return [
+        [tuple(index[p] for p in itertools.combinations(abc + (k,), 2)) for abc in itertools.combinations(range(k), 3)]
+        for k in range(n)
+    ]
 
 
 def _allowed_regions(is_edge: bool, q: int) -> tuple:
@@ -430,16 +412,19 @@ def _checks_pass(sum_regions, checks) -> bool:
 
 
 class _SearchPlan:
-    """The region search of one graph at one q, compiled once: the hook
-    ``extend`` of ``iter_topologies`` and the LP of a full assignment.  It
-    is the only owner of the pairs' regions, the quartet verdicts and the
-    LP rows.
+    """The exhaustive search of one graph at one q, compiled once: the hook
+    ``extend`` of ``iter_topologies``, the LP of a full assignment and the
+    certificate it gives.  It is the only owner of the pairs' regions, the
+    quartet verdicts and the LP rows.
 
+    - ``labels``: the graph's vertices, leaf i being ``labels[i]``;
+    - ``edge_pairs``: the graph's edges as leaf pairs i < j;
     - ``pairs``: the leaf pairs i < j in ``itertools.combinations`` order;
     - ``allowed``: each pair's regions under the parity edge rule;
     - ``forced_code``: the assignment code of the forced pairs, those with
       one allowed region;
-    - ``orbits``: the graph's ``_OrbitFilter``, or None;
+    - ``orbits``: the ``_OrbitFilter`` of the graph's automorphisms, or
+      None when the group is trivial;
     - ``steps[k]``: what ``extend`` does once leaf k is placed, as
       ``(forced, free, checks, checked)``: the code of the forced pairs
       (i, k); the ``(shift, regions)`` of the free ones in the order of i,
@@ -450,41 +435,49 @@ class _SearchPlan:
       whether any quartet is checked at all.
 
     An assignment code packs pair i's region into bits ``i * width`` and
-    up.  A checked quartet is ``(t, qmask, by_shape, verdicts)``: its index
-    t in ``_split_table(k)``, the bits of its six pairs in a code, its sums
-    and checks per shape (``_quartet_sums``) and, per ``(code & qmask) << 2
-    | shape``, whether it passes, so each verdict is computed once per
-    graph and q.  A quartet whose six pairs are forced (every quartet at
-    q = 1, and at q = 2 those of six edges, all in region 1) is decided
-    here, with qmask 0; it is checked only when it fails in some shape,
-    which never happens at q >= 2, since equal regions pass every check.
+    up.  A checked quartet is ``(t, qmask, positions, verdicts)``: its
+    index t in ``_split_table(k)``, the bits of its six pairs in a code,
+    their indices (``_quartet_pairs``) and, per ``(code & qmask) << 2 |
+    shape``, whether it passes, so each verdict is computed once per graph
+    and q.  A quartet whose six pairs are forced (every quartet at q = 1,
+    and at q = 2 those of six edges, all in region 1) is decided here, with
+    qmask 0; it is checked only when it fails in some shape, which never
+    happens at q >= 2, since equal regions pass every check.
     """
 
-    def __init__(self, n, edge_pairs, q, orbits=None):
+    def __init__(self, graph: SimpleGraph, q: int):
+        n = len(graph)
+        if n > TOPOLOGY_LEAF_CAP:
+            raise CapacityError(f"{n} vertices exceeds the topology cap of {TOPOLOGY_LEAF_CAP}")
+        self.graph = graph
+        self.labels = list(graph.vertices)
         self.n = n
         self.q = q
-        self.orbits = orbits
+        index = {v: i for i, v in enumerate(self.labels)}
+        self.edge_pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
+        autos = [p for p in graph_automorphisms(graph) if p != tuple(range(n))]
+        self.orbits = _OrbitFilter(autos, n) if autos else None
         self.width = width = q.bit_length()
         bits = (1 << width) - 1
         self.pairs = list(itertools.combinations(range(n), 2))
-        self.allowed = [_allowed_regions(p in edge_pairs, q) for p in self.pairs]
+        self.allowed = [_allowed_regions(p in self.edge_pairs, q) for p in self.pairs]
         forced = [len(regions) == 1 for regions in self.allowed]
         self.forced_code = sum(r[0] << i * width for i, r in enumerate(self.allowed) if forced[i])
         self.steps = []
-        for k, quartets in enumerate(_quartet_sums(n)):
+        for k, quartets in enumerate(_quartet_pairs(n)):
             new = [self.pairs.index((i, k)) for i in range(k)]
             free = [i for i in new if not forced[i]]
             rank = {i: j + 1 for j, i in enumerate(free)}
             checks = [[] for _ in range(len(free) + 1)]
-            for t, (positions, by_shape) in enumerate(quartets):
+            for t, positions in enumerate(quartets):
                 if all(forced[i] for i in positions):
-                    verdicts = {shape: self.passes(self.forced_code, *by_shape[shape]) for shape in range(4)}
+                    verdicts = {shape: self.passes(self.forced_code, positions, shape) for shape in range(4)}
                     if not all(verdicts.values()):
-                        checks[0].append((t, 0, by_shape, verdicts))
+                        checks[0].append((t, 0, positions, verdicts))
                     continue
                 qmask = sum(bits << i * width for i in positions)
                 last = max(rank.get(positions[i], 0) for i in (2, 4, 5))  # pairs ak, bk, ck
-                checks[last].append((t, qmask, by_shape, {}))
+                checks[last].append((t, qmask, positions, {}))
             self.steps.append((
                 sum(self.allowed[i][0] << i * width for i in new if forced[i]),
                 [(i * width, self.allowed[i][::-1]) for i in free],
@@ -495,10 +488,16 @@ class _SearchPlan:
     def region(self, code, pair_idx):
         return code >> pair_idx * self.width & (1 << self.width) - 1
 
-    def passes(self, code, sums, checks) -> bool:
-        width, bits = self.width, (1 << self.width) - 1
-        regions = tuple((code >> i * width & bits, code >> j * width & bits) for i, j in sums)
-        return _checks_pass(regions, checks)
+    def passes(self, code, positions, shape) -> bool:
+        """Does the quartet a < b < c < d whose pairs ab, ac, ad, bc, bd, cd
+        have indices ``positions`` pass the checks of ``shape`` under
+        ``code``?  Its pair sums are ab + cd, ac + bd and ad + bc; a split
+        shape s puts sum s first, the other two following in order."""
+        ab, ac, ad, bc, bd, cd = (self.region(code, i) for i in positions)
+        sums = ((ab, cd), (ac, bd), (ad, bc))
+        if shape == 3:
+            return _checks_pass(sums, _STAR_CHECKS)
+        return _checks_pass((sums[shape],) + sums[:shape] + sums[shape + 1:], _SPLIT_CHECKS)
 
     def extend(self, k, masks, code):
         """The hook of ``iter_topologies``: once leaf k is placed, the
@@ -554,12 +553,12 @@ class _SearchPlan:
                 yield from self._assign(extended, j + 1, free, checks, shapes)
 
     def _passes(self, code, quartets, shapes):
-        for t, qmask, by_shape, verdicts in quartets:
+        for t, qmask, positions, verdicts in quartets:
             shape = shapes[t]
             key = (code & qmask) << 2 | shape
             ok = verdicts.get(key)
             if ok is None:
-                ok = verdicts[key] = self.passes(code, *by_shape[shape])
+                ok = verdicts[key] = self.passes(code, positions, shape)
             if not ok:
                 return False
         return True
@@ -599,67 +598,40 @@ class _SearchPlan:
         weights = [solution[e] + 1 for e in range(m)]
         return weights, list(itertools.accumulate(solution[m + j] + 1 for j in range(q)))
 
+    def _certificate(self, masks, weights, thetas, caller) -> GlpCertificate:
+        """The certificate of the topology ``masks`` with these edge weights
+        and thresholds, checked to induce the graph."""
+        cert = GlpCertificate(_tree_from(masks, self.labels, weights), ThresholdSequence(tuple(thetas)))
+        if graph_from_certificate(cert) != self.graph:
+            raise InternalError(f"{caller}: the certificate induces another graph")
+        return cert
 
-class _GraphSearch:
-    """The exhaustive searches on one graph.  They share what depends only
-    on the graph: its edges as leaf-index pairs, the orbit filter of its
-    automorphisms and one ``_SearchPlan`` per q, built when a search first
-    asks for it (the k-leaf searches use the q = 1 plan's cut and rows)."""
-
-    def __init__(self, graph: SimpleGraph):
-        n = len(graph)
-        if n > TOPOLOGY_LEAF_CAP:
-            raise CapacityError(f"{n} vertices exceeds the topology cap of {TOPOLOGY_LEAF_CAP}")
-        self.graph = graph
-        self.labels = list(graph.vertices)
-        self.n = n
-        index = {v: i for i, v in enumerate(self.labels)}
-        self.edge_pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
-        autos = [p for p in graph_automorphisms(graph) if p != tuple(range(n))]
-        self.orbits = _OrbitFilter(autos, n) if autos else None
-        self.plans = {}
-
-    def plan(self, q: int) -> _SearchPlan:
-        if q not in self.plans:
-            self.plans[q] = _SearchPlan(self.n, self.edge_pairs, q, self.orbits)
-        return self.plans[q]
-
-    def glp(self, q: int) -> GlpCertificate | None:
-        """The first (topology, assignment) pair of the q plan's search whose
-        exact LP is feasible, as a checked and integerized certificate, or
-        None.  Of each orbit under the graph's automorphisms only the
-        topology with the least split key (``_OrbitFilter``) gets an LP."""
-        plan = self.plan(q)
-        for masks, code in iter_topologies(self.n, plan.extend):
-            result = plan.solve(masks, code)
+    def glp(self) -> GlpCertificate | None:
+        """The first (topology, assignment) pair of the search whose exact
+        LP is feasible, as a checked and integerized certificate, or None.
+        Of each orbit under the graph's automorphisms only the topology with
+        the least split key (``_OrbitFilter``) gets an LP."""
+        for masks, code in iter_topologies(self.n, self.extend):
+            result = self.solve(masks, code)
             if result is not None:
-                weights, thetas = result
-                tree = _tree_from(masks, self.labels, weights)
-                cert = GlpCertificate(tree, ThresholdSequence(tuple(thetas)))
-                if graph_from_certificate(cert) != self.graph:
-                    raise InternalError("recognize_glp: the certificate induces another graph")
-                return integerize_certificate(cert)
+                return integerize_certificate(self._certificate(masks, *result, "recognize_glp"))
         return None
 
     def k_leaf_root(self, k: int) -> WeightedTree | None:
-        """An integer-weighted tree of the graph with theta_1 = k, or None:
-        on the orbit representatives of the q = 1 plan's search, its rows
-        at the one assignment, with y_1 = k - 1, decided over integers
+        """An integer-weighted tree of the graph with theta_1 = k, or None,
+        on a q = 1 plan: on the orbit representatives of its search, its
+        rows at the one assignment, with y_1 = k - 1, decided over integers
         x_e = w_e - 1 in [0, k]."""
-        plan = self.plan(1)
-        for masks, code in iter_topologies(self.n, plan.extend):
+        for masks, code in iter_topologies(self.n, self.extend):
             m = len(masks)
             paths = _leaf_paths(masks, self.n)
             if any(len(paths[pair]) > k for pair in self.edge_pairs):  # every edge weighs >= 1
                 continue
-            rows = plan.rows(paths, m, code) + [({m: 1}, exactlp.EQ, k - 1)]
+            rows = self.rows(paths, m, code) + [({m: 1}, exactlp.EQ, k - 1)]
             solution = _ilp_feasible(m + 1, rows, k)
             if solution is not None:
-                tree = _tree_from(masks, self.labels, [int(x) + 1 for x in solution[:m]])
-                cert = GlpCertificate(tree, ThresholdSequence((Fraction(k),)))
-                if graph_from_certificate(cert) != self.graph:
-                    raise InternalError("is_k_leaf_power: the k-leaf root induces another graph")
-                return tree
+                weights = [int(x) + 1 for x in solution[:m]]
+                return self._certificate(masks, weights, (Fraction(k),), "is_k_leaf_power").tree
         return None
 
 
@@ -688,14 +660,14 @@ def recognize_glp(
     limits = limits or DEFAULT_LIMITS
     n = len(graph)
     limits.check_size(n, q)
-    if n == 1:
+    if n == 1:  # q* below would be 0 for an even q, and padding needs two leaves
         thetas = tuple(Fraction(k + 1) for k in range(q))
         return GlpCertificate(_tree_from((), list(graph.vertices), ()), ThresholdSequence(thetas))
     top = math.comb(n, 2) + 1
     q_star = q if q <= top else top - (q - top) % 2
     if q_star == 1 and not is_chordal(graph):
         return None
-    cert = _GraphSearch(graph).glp(q_star)
+    cert = _SearchPlan(graph, q_star).glp()
     if cert is None or q_star == q:
         return cert
     thetas = cert.thresholds.thresholds
@@ -750,13 +722,10 @@ def is_k_leaf_power(
     limits = limits or DEFAULT_LIMITS
     if k > limits.k_ceiling:
         raise CeilingExceededError(f"k={k} exceeds the k ceiling of {limits.k_ceiling}")
-    n = len(graph)
-    limits.check_size(n, 1)
-    if n == 1:
-        return _tree_from((), list(graph.vertices), ())
+    limits.check_size(len(graph), 1)
     if not is_chordal(graph):
         return None
-    return _GraphSearch(graph).k_leaf_root(k)
+    return _SearchPlan(graph, 1).k_leaf_root(k)
 
 
 def leaf_rank(
@@ -767,17 +736,14 @@ def leaf_rank(
     None means the graph is not a leaf power at all (decided by the
     exhaustive GLP(1) search).  An integerized certificate bounds the
     search from above; the configured k ceiling guards the loop.  The
-    GLP(1) search and every k share one ``_GraphSearch``.
+    GLP(1) search and every k share one q = 1 ``_SearchPlan``.
     """
     limits = limits or DEFAULT_LIMITS
-    n = len(graph)
-    if n == 1:
-        return 1
-    limits.check_size(n, 1)
+    limits.check_size(len(graph), 1)
     if not is_chordal(graph):
         return None
-    search = _GraphSearch(graph)
-    cert = search.glp(1)
+    plan = _SearchPlan(graph, 1)
+    cert = plan.glp()
     if cert is None:
         return None
     theta = cert.thresholds.thresholds[0]  # glp integerizes
@@ -786,7 +752,7 @@ def leaf_rank(
     upper = int(theta)
     ceiling = min(upper, limits.k_ceiling)
     for k in range(1, ceiling + 1):
-        if search.k_leaf_root(k) is not None:
+        if plan.k_leaf_root(k) is not None:
             return k
     if upper > limits.k_ceiling:
         raise CeilingExceededError(f"no k-leaf root found up to the k ceiling {limits.k_ceiling}")

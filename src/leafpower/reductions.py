@@ -40,6 +40,16 @@ TOC_REALIZABILITY_CAP = 7
 # q = 8 builds 512 vertices and 87,296 edges in about 1 s and 100 MB (2-core
 # x86_64 VM); each step more takes about 8x the time and 4x the edges
 NON_GLP_Q_CAP = 8
+# the gadget of |S| elements has 4|S|^2 + 2|S| + 1 vertices, and the leaf
+# root checks a distance matrix over as many leaves: leaf_root_from_tree at
+# |S| = 12, 14, 16 took 1.5, 2.7, 4.8 s and 102, 155, 248 MB peak (2-core
+# x86_64 VM), growing with that matrix, so |S| = 30 would need gigabytes
+GADGET_ELEMENT_CAP = 16
+
+
+def _check_gadget_size(elements) -> None:
+    if len(elements) > GADGET_ELEMENT_CAP:
+        raise CapacityError(f"|S| = {len(elements)} exceeds the gadget cap of {GADGET_ELEMENT_CAP}")
 
 
 def _pair(a, b) -> frozenset:
@@ -270,6 +280,7 @@ def build_gs(toc: TocInstance) -> GadgetGraph:
     order.  No other edges; in particular u_{x,x} never touches v_x (no
     rule ever compares a pair against itself).
     """
+    _check_gadget_size(toc.elements)
     ext = extend_order(toc)
     sprime = ext.elements
     v_name = {x: f"v_{x}" for x in sprime}
@@ -318,6 +329,7 @@ def leaf_root_from_tree(tree: WeightedTree, toc: TocInstance) -> GlpCertificate:
     diameter below 6 are pre-scaled by 6.  The output threshold is exactly
     10*diam - 1 for the (possibly pre-scaled) input diameter.
     """
+    _check_gadget_size(toc.elements)
     if set(tree.labels()) != set(toc.elements):
         raise RealizationMismatchError("tree leaves differ from the element set")
     if len(toc.elements) < 2:
@@ -405,6 +417,7 @@ def extract_toc_tree(cert: GlpCertificate, gadget: GadgetGraph) -> WeightedTree:
     realizes the original order; that is a theorem about any verifying
     certificate, so it is only checked, not re-derived.
     """
+    _check_gadget_size(gadget.elements)
     if not verify_certificate(gadget.graph, cert):
         raise InvalidWitnessError("certificate does not verify against the gadget")
     keep = {gadget.v(minus(i)) for i in gadget.elements}
@@ -485,8 +498,6 @@ def toc_realizability_small(toc: TocInstance) -> WeightedTree | None:
     if n > TOC_REALIZABILITY_CAP or n > TOPOLOGY_LEAF_CAP:
         raise CapacityError(f"|S| = {n} exceeds the cap of {TOC_REALIZABILITY_CAP}")
     labels = list(toc.elements)
-    if n == 1:
-        return _tree_from((), labels, ())
     index = {e: i for i, e in enumerate(labels)}
     relations = []  # (smaller pair, larger pair) as index pairs
     for triple, order in toc.triple_orders.items():

@@ -406,7 +406,7 @@ def restrict_to_leaves(tree: WeightedTree, subset) -> WeightedTree:
     one path through degree-2 vertices and become one edge between the two
     vertices that appear once in the group, weighted by the path's length.
     """
-    subset = list(subset)
+    subset = list(dict.fromkeys(subset))
     if len(subset) < 2:
         raise DegenerateTreeError("restriction needs at least 2 leaves")
     labels = {lbl: tree.vertex_of(lbl) for lbl in subset}

@@ -191,10 +191,20 @@ def orbit_representatives(graph):
 def kept_by_orbit_filter(graph):
     """The topologies of ``iter_topologies`` on the graph's vertices, in
     order, that the search's orbit filter keeps."""
-    from leafpower.recognition import _GraphSearch, iter_topologies
+    from leafpower.recognition import _SearchPlan, iter_topologies
 
-    orbits = _GraphSearch(graph).orbits
+    orbits = _SearchPlan(graph, 1).orbits
     return [masks for masks in iter_topologies(len(graph)) if orbits is None or orbits.is_representative(masks)]
+
+
+def plan_without_orbits(graph, q):
+    """The graph's search plan at q with its orbit filter off, so that its
+    search reaches every topology, not only the orbit representatives."""
+    from leafpower.recognition import _SearchPlan
+
+    plan = _SearchPlan(graph, q)
+    plan.orbits = None
+    return plan
 
 
 @pytest.fixture

@@ -183,6 +183,29 @@ def test_emit_dot(capsys, tmp_path):
     assert dot.read_text().startswith("graph {")
 
 
+@pytest.mark.parametrize("command", ["verify", "leaf-rank", "lift", "complement-cert", "check-4pc"])
+def test_emit_dot_is_a_usage_error_where_nothing_is_rendered(capsys, tmp_path, c4_path, command):
+    # these subcommands write no DOT, so the flag exits 2 instead of being
+    # accepted and ignored; their inputs alone are valid
+    _, cert_json, _ = run(capsys, "recognize", c4_path, "-q", "2")
+    cert = tmp_path / "cert.json"
+    cert.write_text(cert_json)
+    matrix = tmp_path / "m.json"
+    unit = [[str(int(i != j)) for j in range(4)] for i in range(4)]
+    matrix.write_text(json.dumps({"points": list("abcd"), "distances": unit}))
+    inputs = {
+        "verify": [c4_path, str(cert)],
+        "leaf-rank": [c4_path],
+        "lift": [str(cert)],
+        "complement-cert": [str(cert)],
+        "check-4pc": [str(matrix)],
+    }[command]
+    assert run(capsys, command, *inputs)[0] in (0, 1)
+    dot = tmp_path / "out.dot"
+    assert run(capsys, command, *inputs, "--emit-dot", str(dot))[0] == 2
+    assert not dot.exists()
+
+
 def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "recognize")[0] == 2  # missing args
     bad = tmp_path / "bad.json"
@@ -209,10 +232,10 @@ def test_recognize_large_q(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "recognize", str(path), "-q", "300")
     assert code == 0 and len(json.loads(out)["thresholds"]) == 300
 
-    def no_search(graph):
+    def no_search(graph, q):
         raise AssertionError("searched a graph at an over-cap q")
 
-    monkeypatch.setattr(recognition, "_GraphSearch", no_search)
+    monkeypatch.setattr(recognition, "_SearchPlan", no_search)
     cap = str(recognition.THRESHOLD_CAP + 1)
     code, out, err = run(capsys, "recognize", str(path), "-q", cap)
     assert code == 3 and out == "" and "threshold cap" in err
@@ -240,11 +263,22 @@ def test_max_leaves_above_topology_cap_fails_fast(capsys, tmp_path):
         assert code == 3 and "topology cap" in err
 
 
+def test_make_leafroot_over_the_gadget_cap_exits_3(capsys, tmp_path):
+    # a realizable order on one element more than the gadget cap
+    n = reductions.GADGET_ELEMENT_CAP + 1
+    tree = WeightedTree([("c", str(k), k) for k in range(1, n + 1)], {str(k): str(k) for k in range(1, n + 1)})
+    toc_path, tree_path = tmp_path / "toc.txt", tmp_path / "tree.json"
+    toc_path.write_text(toc_from_tree(tree).to_text())
+    tree_path.write_text(tree.to_json())
+    code, out, err = run(capsys, "make-leafroot", str(toc_path), str(tree_path))
+    assert code == 3 and out == "" and "gadget cap" in err
+
+
 def test_k_above_the_ceiling_exits_3_at_once(capsys, monkeypatch, tmp_path):
-    def no_search(graph):
+    def no_search(graph, q):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr(recognition, "_GraphSearch", no_search)
+    monkeypatch.setattr(recognition, "_SearchPlan", no_search)
     path = tmp_path / "p6.json"
     path.write_text(SimpleGraph("abcdef", list(zip("abcde", "bcdef"))).to_json())
     code, out, err = run(capsys, "k-leaf-power", str(path), "-k", "1000000")

@@ -16,6 +16,7 @@ from leafpower import (
     InternalError,
     RecognitionLimits,
     SimpleGraph,
+    TocInstance,
     cert_lift,
     graph_from_certificate,
     is_chordal,
@@ -23,16 +24,14 @@ from leafpower import (
     leaf_rank,
     non_glp_family,
     recognize_glp,
+    toc_realizability_small,
     verify_certificate,
 )
 from leafpower import exactlp, glp_core, recognition, tree_metric
 from leafpower.recognition import (
-    _STAR_CHECKS,
-    _GraphSearch,
     _MaskImages,
     _SearchPlan,
     _can_be_le,
-    _groupings_and_checks,
     _quartet_shapes,
     graph_automorphisms,
     iter_topologies,
@@ -44,6 +43,7 @@ from conftest import (
     is_k_leaf_power_by_literature,
     kept_by_orbit_filter,
     orbit_representatives,
+    plan_without_orbits,
     random_certificate,
 )
 
@@ -186,21 +186,20 @@ class TestTopologies:
 
     def test_quartet_shapes_match_oracle(self):
         # a quartet is a star exactly when no split cuts it 2|2; otherwise
-        # its split grouping comes first
+        # its shape names the pairing that a split cuts
         n = 7
         quartets = stars = 0
         for masks in iter_topologies(n):
             splits = split_key(_mask_edges(masks, n), n)
-            for quartet, shape in prefix_shapes(masks, n):
-                groupings, checks = _groupings_and_checks(quartet, shape)
-                cuts = [side & set(quartet) for side in splits]
+            for (a, b, c, d), shape in prefix_shapes(masks, n):
+                cuts = [side & {a, b, c, d} for side in splits]
                 cuts = [cut for cut in cuts if len(cut) == 2]
                 quartets += 1
                 if cuts:
-                    assert checks is not _STAR_CHECKS
-                    assert set(groupings[0][0]) in cuts or set(groupings[0][1]) in cuts
+                    pairing = (({a, b}, {c, d}), ({a, c}, {b, d}), ({a, d}, {b, c}))[shape]
+                    assert pairing[0] in cuts or pairing[1] in cuts
                 else:
-                    assert checks is _STAR_CHECKS
+                    assert shape == 3
                     stars += 1
         assert (stars, quartets) == STARS_AND_QUARTETS[n]
 
@@ -273,13 +272,8 @@ class TestRecognize:
         for g in (C4, C5):
             assert not is_chordal(g)
             assert recognize_glp(g, 1) is None
-            n = len(g)
-            index = {v: i for i, v in enumerate(g.vertices)}
-            edges_idx = {
-                tuple(sorted((index[u], index[v]))) for u, v in g.edge_list()
-            }
-            plan = _SearchPlan(n, edges_idx, 1)
-            assert not any(plan.solve(masks, code) for masks, code in iter_topologies(n, plan.extend))
+            plan = plan_without_orbits(g, 1)
+            assert not any(plan.solve(masks, code) for masks, code in iter_topologies(len(g), plan.extend))
 
     def test_atlas_graphs_are_pcgs(self):
         # every graph on <= 7 vertices is a PCG (Calamoneri, Frascaria &
@@ -313,14 +307,14 @@ class TestOrderReduction:
             n = len(graph)
             for q in range(1, n * (n - 1) // 2 + 4):
                 cert = recognize_glp(graph, q)
-                expected = _GraphSearch(graph).glp(q) is not None
+                expected = _SearchPlan(graph, q).glp() is not None
                 assert (cert is not None) == expected, (q, list(g.edges))
                 assert cert is None or (cert.order == q and verify_certificate(graph, cert))
 
 
 def own_topology(cert):
     """The certificate's tree as a topology over leaf indices (its edge
-    leaf masks), and the index pairs of its induced graph's edges."""
+    leaf masks), and its induced graph, whose vertex i is leaf i."""
     labels = cert.tree.labels()
     ids = {cert.tree.vertex_of(a): i for i, a in enumerate(labels)}
     for v in cert.tree.vertices:
@@ -329,8 +323,7 @@ def own_topology(cert):
     graph = graph_from_certificate(cert)
     index = {v: i for i, v in enumerate(graph.vertices)}
     assert [index[a] for a in labels] == list(range(len(labels)))
-    pairs = {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
-    return _leaf_masks(edges, range(len(labels))), len(labels), pairs
+    return _leaf_masks(edges, range(len(labels))), graph
 
 
 class TestQuartetPruning:
@@ -347,15 +340,15 @@ class TestQuartetPruning:
             if cert.order < 2 or len(cert.tree.labels()) < 4:
                 continue
             searched += 1
-            masks, n, pairs = own_topology(cert)
-            plan = _SearchPlan(n, pairs, cert.order)
+            masks, graph = own_topology(cert)
+            plan = plan_without_orbits(graph, cert.order)
             own = set(masks)
 
             def along_own(k, prefix, code, own=own, plan=plan):
                 if set(prefix) == {m & (2 << k) - 1 for m in own} - {0}:
                     yield from plan.extend(k, prefix, code)
 
-            assert any(set(found) == own for found, _ in iter_topologies(n, along_own))
+            assert any(set(found) == own for found, _ in iter_topologies(len(graph), along_own))
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_can_be_le_matches_lp(self, q):
@@ -802,19 +795,22 @@ class TestOrbitFilter:
         assert counts == {"placements": 886, "assignments": 496, "topologies": 1, "lps": 1}
 
 
-def index_pairs(graph):
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    return {tuple(sorted((index[u], index[v]))) for u, v in graph.edge_list()}
-
-
 def passes_every_quartet(masks, n, pairs):
     """Does the one q = 1 region assignment of this topology, 0 on an edge
     and 1 on a non-edge, pass every quartet check?  Each quartet's shape is
-    read off the topology's splits, outside the search plan."""
+    read off the topology's splits, and its checks written out, outside the
+    search plan: of its pair sums ab + cd, ac + bd and ad + bc, a split one
+    is at most the other two, which are equal, and a star's are equal."""
     splits = split_key(_mask_edges(masks, n), n)
-    for quartet in itertools.combinations(range(n), 4):
-        groupings, checks = _groupings_and_checks(quartet, quartet_shape(quartet, splits))
-        sums = [tuple(0 if p in pairs else 1 for p in grouping) for grouping in groupings]
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        pairings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+        sums = [tuple(0 if p in pairs else 1 for p in pairing) for pairing in pairings]
+        shape = quartet_shape((a, b, c, d), splits)
+        if shape == 3:
+            checks = list(itertools.permutations(range(3), 2))
+        else:
+            x, y = (i for i in range(3) if i != shape)
+            checks = [(shape, x), (shape, y), (x, y), (y, x)]
         if not all(_can_be_le(sums[lo], sums[hi]) for lo, hi in checks):
             return False
     return True
@@ -832,8 +828,8 @@ class TestForcedQuartetCut:
             graphs.append(SimpleGraph(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < 0.5]))
         dropped_total = 0
         for graph in graphs:
-            n, pairs = len(graph), index_pairs(graph)
-            plan = _SearchPlan(n, pairs, 1)
+            plan = plan_without_orbits(graph, 1)
+            n, pairs = plan.n, plan.edge_pairs
             reached = list(iter_topologies(n, plan.extend))
             assert {code for _, code in reached} <= {plan.forced_code}
             kept = {masks for masks, _ in reached}
@@ -849,7 +845,7 @@ class TestForcedQuartetCut:
 
     def test_graph_with_no_failing_quartet_gets_no_cut(self):
         # K5 at q = 1: no quartet is checked and every topology is reached
-        plan = _SearchPlan(5, set(itertools.combinations(range(5), 2)), 1)
+        plan = plan_without_orbits(SimpleGraph(range(5), itertools.combinations(range(5), 2)), 1)
         assert not any(checked for *_, checked in plan.steps)
         reached = list(iter_topologies(5, plan.extend))
         assert [masks for masks, _ in reached] == list(iter_topologies(5))
@@ -860,9 +856,8 @@ class TestForcedQuartetCut:
         # never branched on; at q = 2 the 20 edges of non_glp_family(2) are
         # forced to region 1
         graph = non_glp_family(2)
-        n, pairs = len(graph), index_pairs(graph)
         for q, free in ((1, 0), (2, 8), (3, 28)):
-            plan = _SearchPlan(n, pairs, q)
+            plan = _SearchPlan(graph, q)
             branched = []
             for k, (forced, step_free, _, _) in enumerate(plan.steps):
                 branched += [shift // plan.width for shift, _ in step_free]
@@ -885,9 +880,8 @@ class TestForcedQuartetCut:
         ]
         graphs.append(SimpleGraph(range(8), itertools.combinations(range(8), 2)))
         for graph in graphs:
-            n, pairs = len(graph), index_pairs(graph)
             for q in (2, 3):
-                plan = _SearchPlan(n, pairs, q)
+                plan = _SearchPlan(graph, q)
                 for _, _, checks, _ in plan.steps:
                     for quartets in checks:
                         for _, qmask, _, _ in quartets:  # qmask 0: its six pairs are forced
@@ -962,3 +956,17 @@ def test_q1_outputs_are_pinned(monkeypatch):
             items.append(["k", graph.to_json(), k, tree.to_json() if tree else None])
         items.append(["rank", graph.to_json(), leaf_rank(graph)])
     assert hashlib.sha256(json.dumps(items).encode()).hexdigest() == Q1_DIGEST
+
+
+def test_one_vertex_outputs_are_pinned():
+    """The searches on one vertex, and the TOC oracle on one element: the
+    tree is the lone leaf, the thresholds are 1..q and the leaf rank is 1."""
+    graph = SimpleGraph(["a"])
+    lone = '{"edges": [], "leaves": {"a": "a"}, "vertices": ["a"]}'
+    for q in (1, 2, 3, 4):
+        thresholds = json.dumps([str(t) for t in range(1, q + 1)])
+        assert recognize_glp(graph, q).to_json() == f'{{"thresholds": {thresholds}, "tree": {lone}}}'
+    for k in (1, 2, 3):
+        assert is_k_leaf_power(graph, k).to_json() == lone
+    assert leaf_rank(graph) == 1
+    assert toc_realizability_small(TocInstance(("a",), {})).to_json() == lone

@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 
 from leafpower import (
+    CapacityError,
+    GadgetGraph,
+    GlpCertificate,
     SimpleGraph,
+    ThresholdSequence,
     TocFormatError,
     RealizationMismatchError,
     InvalidWitnessError,
@@ -26,7 +30,8 @@ from leafpower import (
     toc_realizability_small,
     verify_certificate,
 )
-from leafpower.reductions import TocInstance, minus, plus
+from leafpower import reductions
+from leafpower.reductions import GADGET_ELEMENT_CAP, TocInstance, minus, plus
 
 from conftest import random_weighted_tree, restrict_by_pruning
 
@@ -40,6 +45,13 @@ def random_toc_tree(rng, n, spread=40):
             return tree, toc_from_tree(tree)
         except Exception:
             continue
+
+
+def star_toc_tree(n):
+    """A star with pendant weights 1..n, whose three distances in every
+    triple differ, and the order it realizes."""
+    tree = WeightedTree([("c", str(k), k) for k in range(1, n + 1)], {str(k): str(k) for k in range(1, n + 1)})
+    return tree, toc_from_tree(tree)
 
 
 def all_triple_orders(triple):
@@ -331,6 +343,23 @@ class TestExtract:
         )
         with pytest.raises(InvalidWitnessError):
             extract_toc_tree(broken, gadget)
+
+    def test_over_the_gadget_cap_fails_before_any_work(self, monkeypatch):
+        # one element over the cap: no extended order is built and no
+        # certificate is verified
+        def no_work(*args):
+            raise AssertionError("worked on an over-cap instance")
+
+        tree, toc = star_toc_tree(GADGET_ELEMENT_CAP + 1)
+        monkeypatch.setattr(reductions, "extend_order", no_work)
+        monkeypatch.setattr(reductions, "verify_certificate", no_work)
+        with pytest.raises(CapacityError, match="gadget cap"):
+            build_gs(toc)
+        with pytest.raises(CapacityError, match="gadget cap"):
+            leaf_root_from_tree(tree, toc)
+        gadget = GadgetGraph(SimpleGraph(["O"]), {}, toc.elements)
+        with pytest.raises(CapacityError, match="gadget cap"):
+            extract_toc_tree(GlpCertificate(tree, ThresholdSequence((1,))), gadget)
 
 
 class TestHierarchy:

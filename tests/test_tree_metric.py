@@ -324,3 +324,9 @@ class TestNormalization:
         t = WeightedTree([("a", "b", 1)], {"a": "a", "b": "b"})
         with pytest.raises(DegenerateTreeError):
             restrict_to_leaves(t, {"a"})
+
+    def test_restrict_repeated_label_is_too_small(self):
+        # a label given twice is still one leaf
+        t = WeightedTree([("a", "b", 1)], {"a": "a", "b": "b"})
+        with pytest.raises(DegenerateTreeError):
+            restrict_to_leaves(t, ["a", "a"])
