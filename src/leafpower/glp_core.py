@@ -18,7 +18,7 @@ from .errors import (
     MalformedTreeError,
 )
 from .rational import format_rational, parse_rational
-from .tree_metric import WeightedTree, _leaf_masks, _leaf_paths
+from .tree_metric import WeightedTree, _leaf_masks, _leaf_paths, _path_diff
 
 
 class SimpleGraph:
@@ -263,7 +263,7 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
     below = gap_margin(None, values[0]) if any(t < values[0] for t in thresholds) else 0
     if below:
         # room for integer thresholds in [1, first value)
-        constraints.append((_path_coeffs(by_value[values[0]][0]), exactlp.GE, below + 1))
+        constraints.append(({k: 1 for k in by_value[values[0]][0]}, exactlp.GE, below + 1))
         basic_margins = False
     for low, high in zip(values, values[1:]):
         margin = gap_margin(low, high)
@@ -321,17 +321,6 @@ def _replace_thresholds(thresholds, values, new_value_of):
                 raise InternalError("integerize: gap margin too small for thresholds")
         new_thresholds.append(candidate)
     return new_thresholds
-
-
-def _path_coeffs(path):
-    return {k: 1 for k in path}
-
-
-def _path_diff(path_hi, path_lo):
-    coeffs = {k: 1 for k in path_hi}
-    for k in path_lo:
-        coeffs[k] = coeffs.get(k, 0) - 1
-    return {k: c for k, c in coeffs.items() if c}
 
 
 def is_chordal(graph: SimpleGraph) -> bool:

@@ -33,8 +33,8 @@ from .glp_core import (
     verify_certificate,
 )
 from .rational import format_rational, parse_rational
-from .recognition import TOPOLOGY_LEAF_CAP, iter_topologies
-from .tree_metric import WeightedTree, _distances, _leaf_paths, _tree_from, restrict_to_leaves
+from .recognition import iter_topologies
+from .tree_metric import WeightedTree, _leaf_paths, _path_diff, _tree_from, restrict_to_leaves
 
 TOC_REALIZABILITY_CAP = 7
 # q = 8 builds 512 vertices and 87,296 edges in about 1 s and 100 MB (2-core
@@ -114,7 +114,7 @@ class TocInstance:
 
     @classmethod
     def from_text(cls, text: str) -> "TocInstance":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
         if not lines or not lines[0].startswith("elements:"):
             raise TocFormatError("missing 'elements:' header line")
         elements = tuple(lines[0][len("elements:"):].split())
@@ -342,24 +342,16 @@ def leaf_root_from_tree(tree: WeightedTree, toc: TocInstance) -> GlpCertificate:
         tree = tree.scaled(6)
     diam = tree.diameter()
 
-    ext = extend_order(toc)
-    sprime = ext.elements
+    gadget = build_gs(toc)
 
     # step 1: scale by 4, relabel leaves i -> p'_i (internals get a prefix)
-    adj: dict = {}
-
-    def add_edge(a, b, w):
-        adj.setdefault(a, {})[b] = w
-        adj.setdefault(b, {})[a] = w
-
     label_of = {v: lbl for lbl, v in tree.leaf_labels.items()}
 
     def host_name(v):
         lbl = label_of.get(v)
         return f"p'_{lbl}" if lbl is not None else f"t_{v}"
 
-    for u, v, w in tree.edges:
-        add_edge(host_name(u), host_name(v), 4 * w)
+    edges = [(host_name(u), host_name(v), 4 * w) for u, v, w in tree.edges]
 
     # step 2: attach O at 5*diam to a canonical non-leaf vertex
     internal = sorted(
@@ -370,42 +362,35 @@ def leaf_root_from_tree(tree: WeightedTree, toc: TocInstance) -> GlpCertificate:
         anchor = internal[0]
     else:
         # two leaves joined by one edge: split it in half to make an anchor
-        (u, v, w), = [(a, b, w) for a, b, w in tree.edges]
-        a, b = host_name(u), host_name(v)
-        del adj[a][b], adj[b][a]
+        (a, b, w), = edges
         anchor = "t_mid"
-        add_edge(a, anchor, 2 * w)
-        add_edge(anchor, b, 2 * w)
-    add_edge(anchor, "O", 5 * diam)
+        edges = [(a, anchor, w / 2), (anchor, b, w / 2)]
+    edges.append((anchor, gadget.origin, 5 * diam))
 
     # step 3: signed copies p_{i+} at 1 and p_{i-} at 2 off each p'_i
-    for i in toc.elements:
-        add_edge(f"p'_{i}", f"p_{plus(i)}", Fraction(1))
-        add_edge(f"p'_{i}", f"p_{minus(i)}", Fraction(2))
-
     # step 4: leaves v_x at 1 and hubs O_x at 5*diam off each p_x
-    for x in sprime:
-        add_edge(f"p_{x}", f"v_{x}", Fraction(1))
-        add_edge(f"p_{x}", f"O_{x}", 5 * diam)
+    copies = [(x, i, off) for i in toc.elements for x, off in ((plus(i), 1), (minus(i), 2))]
+    for x, i, off in copies:
+        edges.append((f"p'_{i}", f"p_{x}", off))
+        edges.append((f"p_{x}", gadget.v(x), 1))
+        edges.append((f"p_{x}", f"O_{x}", 5 * diam))
 
-    # step 5: u_{x,y} at 5*diam - d(p_x, v_y) off O_x, where v_y hangs at 1 off p_y
-    for x in sprime:
-        dist = _distances(adj, f"p_{x}")
-        for y in sprime:
-            w = 5 * diam - dist[f"p_{y}"] - 1
+    # step 5: u_{x,y} at 5*diam - d(p_x, v_y) off O_x, where v_y hangs at 1
+    # off p_y.  p_x hangs at off(x) off p'_i and the p'_i lie 4*d_T(i, j)
+    # apart, so d(p_x, p_y) = off(x) + 4*d_T(i, j) + off(y) for x != y
+    # (partners get 1 + 2, as d_T(i, i) = 0): the input tree's cached
+    # matrix gives every one of them without a walk of the root
+    d_T = tree.distance_matrix()
+    for x, i, off_x in copies:
+        for y, j, off_y in copies:
+            w = 5 * diam - 1 - (off_x + 4 * d_T[i, j] + off_y if x != y else 0)
             if w <= 0:
                 raise InternalError(f"leaf_root_from_tree: weight {w} for u_{x},{y}")
-            add_edge(f"O_{x}", f"u_{x},{y}", w)
+            edges.append((f"O_{x}", gadget.u(x, y), w))
 
-    labels = {"O": "O"}
-    for x in sprime:
-        labels[f"v_{x}"] = f"v_{x}"
-        for y in sprime:
-            labels[f"u_{x},{y}"] = f"u_{x},{y}"
-    edge_list = [(a, b, w) for a in adj for b, w in adj[a].items() if a < b]
-    root = WeightedTree(edge_list, labels)
+    root = WeightedTree(edges, {v: v for v in gadget.graph.vertices})
     cert = GlpCertificate(root, ThresholdSequence((10 * diam - 1,)))
-    if graph_from_certificate(cert) != build_gs(toc).graph:
+    if graph_from_certificate(cert) != gadget.graph:
         raise InternalError("leaf_root_from_tree: the leaf root does not induce G_S")
     return cert
 
@@ -444,11 +429,8 @@ def cert_lift(cert: GlpCertificate) -> GlpCertificate:
     positive.
     """
     old = cert.thresholds.thresholds
-    dists = [
-        cert.tree.distance(a, b)
-        for a, b in itertools.combinations(sorted(cert.tree.leaf_labels, key=str), 2)
-    ]
-    bound = min(dists) if dists else old[0]
+    matrix = cert.tree.distance_matrix()
+    bound = min((d for (a, b), d in matrix.items() if a != b), default=old[0])
     theta1 = min(bound, old[0]) / 2
     return GlpCertificate(cert.tree, ThresholdSequence((theta1, *old)))
 
@@ -459,11 +441,7 @@ def cert_complement(cert: GlpCertificate) -> GlpCertificate:
     Appending a threshold above every distance flips every pair's parity.
     """
     old = cert.thresholds.thresholds
-    dists = [
-        cert.tree.distance(a, b)
-        for a, b in itertools.combinations(sorted(cert.tree.leaf_labels, key=str), 2)
-    ]
-    top = 1 + max([old[-1], *dists])
+    top = 1 + max([old[-1], *cert.tree.distance_matrix().values()])
     return GlpCertificate(cert.tree, ThresholdSequence((*old, top)))
 
 
@@ -495,7 +473,7 @@ def toc_realizability_small(toc: TocInstance) -> WeightedTree | None:
     invariance makes that lossless.  Independent of the gadget machinery.
     """
     n = len(toc.elements)
-    if n > TOC_REALIZABILITY_CAP or n > TOPOLOGY_LEAF_CAP:
+    if n > TOC_REALIZABILITY_CAP:
         raise CapacityError(f"|S| = {n} exceeds the cap of {TOC_REALIZABILITY_CAP}")
     labels = list(toc.elements)
     index = {e: i for i, e in enumerate(labels)}
@@ -513,13 +491,8 @@ def toc_realizability_small(toc: TocInstance) -> WeightedTree | None:
         paths = _leaf_paths(masks, n)
         constraints = []
         for small, large in relations:
-            coeffs: dict = {}
-            for e in paths[large]:
-                coeffs[e] = coeffs.get(e, 0) + 1
-            for e in paths[small]:
-                coeffs[e] = coeffs.get(e, 0) - 1
             base = len(paths[large]) - len(paths[small])  # the w = 1 + x shift
-            constraints.append((coeffs, exactlp.GE, 1 - base))
+            constraints.append((_path_diff(paths[large], paths[small]), exactlp.GE, 1 - base))
         solution = exactlp.find_feasible_point(m, constraints)
         if solution is None:
             continue

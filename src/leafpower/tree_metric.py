@@ -83,6 +83,17 @@ def _leaf_paths(masks, n: int) -> dict:
     }
 
 
+def _path_diff(path_hi, path_lo) -> dict:
+    """The sparse LP row ``{edge index: coefficient}`` of the distance
+    along ``path_hi`` minus the distance along ``path_lo``, both edge
+    index tuples as ``_leaf_paths`` gives them; zero coefficients are
+    dropped."""
+    coeffs = {k: 1 for k in path_hi}
+    for k in path_lo:
+        coeffs[k] = coeffs.get(k, 0) - 1
+    return {k: c for k, c in coeffs.items() if c}
+
+
 def _mask_edges(masks, n: int) -> list:
     """The ``(u, v)`` edges, u < v, of the topology whose edge leaf masks
     are ``masks`` (as ``recognition.iter_topologies`` yields them), in

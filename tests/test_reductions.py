@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -62,9 +63,12 @@ def all_triple_orders(triple):
 class TestTocInstance:
     def test_text_round_trip(self, rng):
         _, toc = random_toc_tree(rng, 4)
-        again = TocInstance.from_text(toc.to_text())
-        assert again.elements == toc.elements
-        assert again.triple_orders == toc.triple_orders
+        text = toc.to_text()
+        # comments are skipped wherever they stand, indented or not
+        for variant in (text, "# head\n" + text.replace("\n", "\n  # note\n", 1)):
+            again = TocInstance.from_text(variant)
+            assert again.elements == toc.elements
+            assert again.triple_orders == toc.triple_orders
 
     def test_rejects_degenerate_pair(self):
         text = "elements: 1 2 3\n1 2 3 : 1,1 < 1,3 < 2,3\n"
@@ -279,6 +283,45 @@ class TestLeafRoot:
         wrong = TocInstance(toc.elements, {triple: order[::-1]})
         with pytest.raises(RealizationMismatchError):
             leaf_root_from_tree(tree, wrong)
+
+    def test_builds_the_gadget_once(self, monkeypatch):
+        # one extended order for the gadget the root must induce
+        calls = []
+        extend = reductions.extend_order
+
+        def counting(toc):
+            calls.append(toc)
+            return extend(toc)
+
+        monkeypatch.setattr(reductions, "extend_order", counting)
+        tree, toc = star_toc_tree(4)
+        leaf_root_from_tree(tree, toc)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "edges, digest",
+        [
+            # integer weights, |S| = 3
+            (
+                [("c", "1", 2), ("c", "2", 5), ("c", "3", 9)],
+                "91f386bd7c74d0c9dfd4f8d5b2124c6fd6dea832890b1f90e7de012bbe27497e",
+            ),
+            # rational weights of diameter 5/3: scaled by 3, then pre-scaled by 6
+            (
+                [("c", "1", Fraction(1, 3)), ("c", "2", Fraction(2, 3)), ("c", "3", Fraction(1))],
+                "d1046c1fc7af58b74052bb00d57e700df2ac4fa3fe89e99d8b9ceb588699dafc",
+            ),
+            # |S| = 2: the one host edge is split at t_mid
+            ([("1", "2", 7)], "390d578b97fed4252a2b650e67b050e4ab22350cf1ab85c831498878395cb262"),
+        ],
+    )
+    def test_outputs_are_pinned(self, edges, digest):
+        """sha256 of the leaf root's JSON, first computed before the root
+        was built on its gadget."""
+        labels = {x for e in edges for x in e[:2]} - {"c"}
+        tree = WeightedTree(edges, {x: x for x in labels})
+        cert = leaf_root_from_tree(tree, toc_from_tree(tree))
+        assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
 
     def test_rational_weights_accepted(self):
         tree = WeightedTree(
