@@ -7,7 +7,10 @@ feasible set lies in x >= 0, so it is pointed: it is non-empty exactly
 when it has a vertex.
 """
 
+import hashlib
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,9 +104,9 @@ rationals = st.one_of(
 
 @st.composite
 def systems(draw):
-    num_vars = draw(st.integers(1, 3))
+    num_vars = draw(st.integers(1, 4))
     constraints = []
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(0, 6))):
         support = draw(st.lists(st.integers(0, num_vars - 1), min_size=1, unique=True))
         coeffs = {i: draw(rationals) for i in support}
         constraints.append((coeffs, draw(st.sampled_from(RELS)), draw(rationals)))
@@ -171,3 +174,72 @@ def test_degenerate_ties_return_a_vertex(num_vars):
     point = exactlp.find_feasible_point(num_vars, constraints)
     assert point == [Fraction(1)] * num_vars
     assert tight_rank(point, constraints) == num_vars
+
+
+def corpus_value(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 6)))
+
+
+def corpus_system(rng):
+    """One seeded system of up to 6 variables and 10 rows, of one of three
+    kinds: random rows, mostly infeasible; rows with rational coefficients,
+    all tight at one integer point (degenerate ties); rows with
+    coefficients 1 and 2, mostly ``>=``, each tight at one integer point
+    or off it by 1, where equal ratios can pick between vertices.  A row
+    is sometimes repeated with another relation."""
+    kind = rng.choice((0, 1, 2, 2))
+    num_vars = rng.randint(1 if kind < 2 else 2, 6)
+    point = [rng.randint(0, 2) for _ in range(num_vars)]
+    rels = RELS if kind < 2 else (exactlp.GE, exactlp.GE, exactlp.LE)
+    constraints = []
+    for _ in range(rng.randint(0, 10)):
+        if constraints and rng.random() < 0.15:
+            coeffs, _, rhs = rng.choice(constraints)
+        elif kind == 2:
+            coeffs = {i: rng.choice((1, 1, 2)) for i in rng.sample(range(num_vars), rng.randint(1, num_vars))}
+            rhs = sum(c * point[i] for i, c in coeffs.items()) + rng.choice((0, 0, 1))
+        else:
+            coeffs = {i: corpus_value(rng) for i in rng.sample(range(num_vars), rng.randint(1, num_vars))}
+            rhs = corpus_value(rng) if kind == 0 else sum(c * point[i] for i, c in coeffs.items())
+        constraints.append((coeffs, rng.choice(rels), rhs))
+    return num_vars, constraints
+
+
+# sha256 of the points found on the corpus below, first computed before the
+# tableau rows became sparse; the pivot path, and so the vertex, must not move
+CORPUS_DIGEST = "954fb0caf56c0ea3d70282757b210686b4f37f3c4eb23f7b621ec19d25ae82b8"
+
+
+def test_feasible_points_are_pinned():
+    rng = random.Random(2024)
+    lines = []
+    for _ in range(300):
+        num_vars, constraints = corpus_system(rng)
+        point = exactlp.find_feasible_point(num_vars, constraints)
+        if point is None:
+            lines.append("None")
+        else:
+            assert satisfies(point, constraints)
+            lines.append(" ".join(str(x) for x in point))
+    assert 60 <= lines.count("None") <= 240
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize(
+    "num_vars, constraint, error, named",
+    [
+        # a negative index used to alias the last variable
+        (2, ({-1: 1}, exactlp.GE, 1), ValueError, "index -1"),
+        (2, ({0: 1, 2: 1}, exactlp.GE, 1), ValueError, "index 2"),
+        (2, ({0: 1}, ">", 1), ValueError, "relation '>'"),
+        (2, ({0: 1.5}, exactlp.GE, 1), TypeError, "1.5"),
+        (2, ({0: 1}, exactlp.EQ, 0.5), TypeError, "0.5"),
+    ],
+    ids=["negative-index", "index-too-large", "unknown-relation", "float-coefficient", "float-rhs"],
+)
+def test_bad_constraints_are_rejected(num_vars, constraint, error, named):
+    good = ({1: 1}, exactlp.LE, 3)
+    with pytest.raises(error, match=re.escape(named)):
+        exactlp.find_feasible_point(num_vars, [good, constraint])

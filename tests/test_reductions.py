@@ -31,7 +31,7 @@ from leafpower import (
     toc_realizability_small,
     verify_certificate,
 )
-from leafpower import reductions
+from leafpower import exactlp, reductions
 from leafpower.reductions import GADGET_ELEMENT_CAP, TocInstance, minus, plus
 
 from conftest import random_weighted_tree, restrict_by_pruning
@@ -373,6 +373,50 @@ class TestExtract:
                 keep = [gadget.v(minus(i)) for i in gadget.elements]
                 r, ref = restrict_to_leaves(cert.tree, keep), restrict_by_pruning(cert.tree, keep)
                 assert r == ref and r.vertices == ref.vertices
+
+    def test_fixed_topology_lp_root_extracts(self):
+        """Another leaf root of G_S than the one the construction builds: the
+        q = 1 exact LP on the constructed root's topology (x_e = w_e - 1,
+        y = theta - 1, one margin-1 row per leaf pair) finds its own weights
+        and threshold, and that root too restricts to a realization."""
+        tree = WeightedTree([("c", "1", 2), ("c", "2", 5), ("c", "3", 9)], {x: x for x in "123"})
+        toc = toc_from_tree(tree)
+        gadget, topology = build_gs(toc), leaf_root_from_tree(tree, toc).tree
+        edges = topology.edges
+        m = len(edges)
+        adj = {}
+        for k, (u, v, _) in enumerate(edges):
+            adj.setdefault(u, []).append((v, k))
+            adj.setdefault(v, []).append((u, k))
+        leaves = sorted(topology.leaf_labels)
+        rows = []
+        for i, a in enumerate(leaves):
+            parent, stack = {a: None}, [a]
+            while stack:
+                u = stack.pop()
+                for v, k in adj[u]:
+                    if v not in parent:
+                        parent[v] = (u, k)
+                        stack.append(v)
+            for b in leaves[i + 1:]:
+                path, x = [], b
+                while parent[x] is not None:
+                    x, k = parent[x]
+                    path.append(k)
+                coeffs = dict.fromkeys(path, 1) | {m: -1}
+                if gadget.graph.has_edge(topology.leaf_labels[a], topology.leaf_labels[b]):
+                    rows.append((coeffs, exactlp.LE, 1 - len(path)))  # d <= theta
+                else:
+                    rows.append((coeffs, exactlp.GE, 2 - len(path)))  # d >= theta + 1
+        assert (len(leaves), m, len(rows)) == (43, 58, 903)
+        solution = exactlp.find_feasible_point(m + 1, rows)
+        assert solution is not None
+        weighted = WeightedTree([(u, v, solution[k] + 1) for k, (u, v, _) in enumerate(edges)], topology.leaf_labels)
+        cert = GlpCertificate(weighted, ThresholdSequence((solution[m] + 1,)))
+        # the construction's root has theta = 10 * 14 - 1 = 139
+        assert cert.thresholds.thresholds == (23,)
+        assert verify_certificate(gadget.graph, cert)
+        assert toc.realized_by(extract_toc_tree(cert, gadget))
 
     def test_bad_witness_rejected(self, rng):
         tree, toc = random_toc_tree(rng, 3)
