@@ -3,8 +3,9 @@
 Machine-readable JSON goes to stdout, diagnostics to stderr.  Exit codes:
 0 success/PASS, 1 valid negative answer (NONE/FAIL), 2 usage or format
 error, 3 capacity or k ceiling exceeded, 4 internal error (a failed
-self-check: a bug, never an answer).  Rationals are serialized as "p/q"
-strings.
+self-check or any other unexpected exception: a bug, never an answer).
+Rationals are read as "p/q" or decimal strings, with no exponent, and
+serialized as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -427,6 +428,9 @@ def main(argv=None) -> int:
     except (LeafPowerError, ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, never an answer
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .errors import (
     MalformedTreeError,
 )
 from .rational import format_rational, parse_rational
-from .tree_metric import WeightedTree, _leaf_masks, _leaf_paths, _path_diff
+from .tree_metric import WeightedTree, _distance_row, _leaf_masks, _leaf_paths, _lp_weights
 
 
 class SimpleGraph:
@@ -201,10 +201,12 @@ class IntegerizeResult:
     """Outcome of integerization; ``basic`` marks a margin-1 vertex solution,
     for which the Hadamard weight bound |E|^{|E|/2} is guaranteed.
 
-    Every system with all margins 1 gets that flag: ``find_feasible_point``
-    returns a basic feasible solution, whose positive entries sit on
-    independent basis columns, so its weights are already a vertex of the
-    separation polyhedron and no rank test is needed."""
+    Every system with all margins 1 gets that flag.  The LP runs in
+    x = w - 1 (``_distance_row``), so its polyhedron {x >= 0, A x >= b - A 1}
+    is the separation polyhedron {w >= 1, A w >= b} translated by 1, and a
+    translation maps vertices to vertices.  ``find_feasible_point`` returns
+    a basic feasible solution, a vertex in x, so its weights are already a
+    vertex of the separation polyhedron and no rank test is needed."""
 
     certificate: GlpCertificate
     basic: bool
@@ -249,37 +251,29 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
         # k thresholds strictly inside a gap need k+1 units of room
         return inside + 1
 
-    constraints = []
-    for k in range(m):
-        constraints.append(({k: 1}, exactlp.GE, 1))
-    basic_margins = True
     # equalities within each value group
-    for value in values:
-        group = by_value[value]
-        rep = group[0]
-        for other in group[1:]:
-            constraints.append((_path_diff(other, rep), exactlp.EQ, 0))
+    constraints = [
+        _distance_row(other, by_value[v][0], exactlp.EQ, 0) for v in values for other in by_value[v][1:]
+    ]
     # margins between consecutive distinct values
     below = gap_margin(None, values[0]) if any(t < values[0] for t in thresholds) else 0
     if below:
         # room for integer thresholds in [1, first value)
-        constraints.append(({k: 1 for k in by_value[values[0]][0]}, exactlp.GE, below + 1))
-        basic_margins = False
+        constraints.append(_distance_row(by_value[values[0]][0], (), exactlp.GE, below + 1))
+    basic_margins = not below
     for low, high in zip(values, values[1:]):
         margin = gap_margin(low, high)
-        if margin > 1:
-            basic_margins = False
-        constraints.append(
-            (_path_diff(by_value[high][0], by_value[low][0]), exactlp.GE, margin)
-        )
+        basic_margins &= margin == 1
+        constraints.append(_distance_row(by_value[high][0], by_value[low][0], exactlp.GE, margin))
 
     solution = exactlp.find_feasible_point(m, constraints)
     if solution is None:
         # a scaled copy of the input weights satisfies every constraint
         raise InternalError("integerize: separation system of a valid certificate is infeasible")
 
-    denom_lcm = math.lcm(*(f.denominator for f in solution))
-    weights = [f * denom_lcm for f in solution]
+    weights = _lp_weights(solution, m)
+    denom_lcm = math.lcm(*(w.denominator for w in weights))
+    weights = [w * denom_lcm for w in weights]
     if not all(w.denominator == 1 and w >= 1 for w in weights):
         raise InternalError("integerize: scaled weights are not integers >= 1")
 
@@ -288,10 +282,7 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
         tree.leaf_labels,
         vertices=tree.vertices,
     )
-    new_value_of = {}
-    for value in values:
-        path = by_value[value][0]
-        new_value_of[value] = sum(weights[k] for k in path)
+    new_value_of = {value: sum(weights[k] for k in by_value[value][0]) for value in values}
 
     new_thresholds = _replace_thresholds(thresholds, values, new_value_of)
     new_cert = GlpCertificate(new_tree, ThresholdSequence(tuple(new_thresholds)))

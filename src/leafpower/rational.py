@@ -12,10 +12,16 @@ Rational = Fraction
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse "p/q" or decimal-string rationals exactly."""
+    """Parse "p/q" or decimal-string rationals exactly; exponents are
+    rejected ("1e10000000" would be a 33-Mbit integer)."""
     if isinstance(text, float):
         raise TypeError("floats are not accepted; pass a string or Fraction")
-    return Fraction(text)
+    if isinstance(text, str) and "e" in text.lower():
+        raise ValueError(f"not a rational in p/q or decimal form: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -20,14 +20,14 @@ pair is decided by a margin-1 exact LP over edge weights and thresholds.
 One ``_SearchPlan`` per graph and q is the whole search: it holds the
 graph's labels and edges, the orbit filter of its automorphisms, the
 pairs, their allowed regions, the forced pairs (those with one allowed
-region), per leaf the quartets to check and their verdicts, and the LP
-rows of an assignment.  Tables that depend on n alone (the shapes each
-edge mask gives the quartets of a leaf, ``_split_table``; the six pairs
-of each quartet, ``_quartet_pairs``) and the verdict of each region
-pattern are built once per process.  At q = 1 every pair is forced, so
+region) and per leaf the quartets to check and their verdicts;
+``_glp_rows`` writes the LP of an assignment.  Tables that depend on n
+alone (the shapes each edge mask gives the quartets of a leaf,
+``_split_table``; the six pairs of each quartet, ``_quartet_pairs``) and
+the verdict of each region pattern are built once per process.  At q = 1 every pair is forced, so
 the recursion is a cut of the topologies whose quartets fail.  A k-leaf
 root is a GLP(1) certificate with integer weights and theta_1 = k, so
-the k-leaf search runs an integer program on a q = 1 plan's rows, and
+the k-leaf search runs an integer program on the q = 1 rows, and
 ``leaf_rank`` runs its GLP(1) search and every k on one plan.
 """
 
@@ -51,7 +51,7 @@ from .glp_core import (
     integerize_certificate,
     is_chordal,
 )
-from .tree_metric import WeightedTree, _leaf_paths, _tree_from
+from .tree_metric import WeightedTree, _distance_row, _leaf_paths, _lp_weights, _tree_from
 
 TOPOLOGY_LEAF_CAP = 9  # n! leaf placements explode beyond this at desk scale
 THRESHOLD_CAP = 1000  # a GLP(q) certificate holds q thresholds
@@ -411,11 +411,29 @@ def _checks_pass(sum_regions, checks) -> bool:
     return all(_can_be_le(sum_regions[lo], sum_regions[hi]) for lo, hi in checks)
 
 
+def _glp_rows(paths, m: int, q: int, regions) -> list:
+    """The margin-1 LP rows that put each pair of ``paths`` (``_leaf_paths``)
+    in its region r = ``regions[pair]`` on a topology with m edges: d >=
+    theta_r + 1 and d <= theta_{r+1}, where these thresholds exist.  Edges
+    are encoded by ``_distance_row``, and the gaps y_i = theta_i - theta_{i-1}
+    - 1 >= 0 (theta_0 = 0) are variables m to m + q - 1, so both rows read
+    d - y_1 - ... - y_t rel r + 1.  Scale invariance makes margin 1 lossless.
+    """
+    rows = []
+    for pair, path in paths.items():
+        r = regions[pair]
+        for t, rel in ((r, exactlp.GE), (r + 1, exactlp.LE)):
+            if 1 <= t <= q:
+                coeffs, _, rhs = _distance_row(path, (), rel, r + 1)
+                rows.append((coeffs | dict.fromkeys(range(m, m + t), -1), rel, rhs))
+    return rows
+
+
 class _SearchPlan:
     """The exhaustive search of one graph at one q, compiled once: the hook
     ``extend`` of ``iter_topologies``, the LP of a full assignment and the
-    certificate it gives.  It is the only owner of the pairs' regions, the
-    quartet verdicts and the LP rows.
+    certificate it gives.  It is the only owner of the pairs' regions and
+    the quartet verdicts; ``_glp_rows`` writes the LP of an assignment.
 
     - ``labels``: the graph's vertices, leaf i being ``labels[i]``;
     - ``edge_pairs``: the graph's edges as leaf pairs i < j;
@@ -563,40 +581,19 @@ class _SearchPlan:
                 return False
         return True
 
-    def rows(self, paths, m, code):
-        """The LP rows of the full assignment ``code`` on a topology with m
-        edges and leaf-pair edge lists ``paths``.
-
-        Variables (all >= 0 after shifting):
-          x_e = w_e - 1 for each topology edge, in mask order,
-          y_i = theta_i - theta_{i-1} - 1 (theta_0 = 0), as variable m + i - 1,
-        so theta_i = i + y_1 + ... + y_i and every strict inequality is a
-        margin-1 constraint (no solutions are lost: the system is
-        scale-invariant).
-        """
-        constraints = []
-        for pos, pair in enumerate(self.pairs):
-            r = self.region(code, pos)
-            path = paths[pair]
-            # d >= theta_r + 1 and d <= theta_{r+1}, where these thresholds
-            # exist; with d = len(path) + the path's x_e, both rows read
-            # x_path - y_1 - ... - y_t  (>= or <=)  r + 1 - len(path)
-            for t, rel in ((r, exactlp.GE), (r + 1, exactlp.LE)):
-                if 1 <= t <= self.q:
-                    coeffs = dict.fromkeys(path, 1) | dict.fromkeys(range(m, m + t), -1)
-                    constraints.append((coeffs, rel, r + 1 - len(path)))
-        return constraints
+    def regions(self, code) -> dict:
+        return {pair: self.region(code, i) for i, pair in enumerate(self.pairs)}
 
     def solve(self, masks, code):
         """Edge weights, in mask order, and thresholds that induce the graph
         on the topology whose edge leaf masks are ``masks`` with the full
-        assignment ``code``, from an exact LP on ``rows``, or None."""
+        assignment ``code``, from an exact LP on ``_glp_rows``, or None."""
         m, q = len(masks), self.q
-        solution = exactlp.find_feasible_point(m + q, self.rows(_leaf_paths(masks, self.n), m, code))
+        rows = _glp_rows(_leaf_paths(masks, self.n), m, q, self.regions(code))
+        solution = exactlp.find_feasible_point(m + q, rows)
         if solution is None:
             return None
-        weights = [solution[e] + 1 for e in range(m)]
-        return weights, list(itertools.accumulate(solution[m + j] + 1 for j in range(q)))
+        return _lp_weights(solution, m), list(itertools.accumulate(_lp_weights(solution[m:], q)))
 
     def _certificate(self, masks, weights, thetas, caller) -> GlpCertificate:
         """The certificate of the topology ``masks`` with these edge weights
@@ -627,11 +624,10 @@ class _SearchPlan:
             paths = _leaf_paths(masks, self.n)
             if any(len(paths[pair]) > k for pair in self.edge_pairs):  # every edge weighs >= 1
                 continue
-            rows = self.rows(paths, m, code) + [({m: 1}, exactlp.EQ, k - 1)]
+            rows = _glp_rows(paths, m, self.q, self.regions(code)) + [({m: 1}, exactlp.EQ, k - 1)]
             solution = _ilp_feasible(m + 1, rows, k)
             if solution is not None:
-                weights = [int(x) + 1 for x in solution[:m]]
-                return self._certificate(masks, weights, (Fraction(k),), "is_k_leaf_power").tree
+                return self._certificate(masks, _lp_weights(solution, m), (Fraction(k),), "is_k_leaf_power").tree
         return None
 
 

@@ -34,7 +34,7 @@ from .glp_core import (
 )
 from .rational import format_rational, parse_rational
 from .recognition import iter_topologies
-from .tree_metric import WeightedTree, _leaf_paths, _path_diff, _tree_from, restrict_to_leaves
+from .tree_metric import WeightedTree, _distance_row, _leaf_paths, _lp_weights, _tree_from, restrict_to_leaves
 
 TOC_REALIZABILITY_CAP = 7
 # q = 8 builds 512 vertices and 87,296 edges in about 1 s and 100 MB (2-core
@@ -489,14 +489,11 @@ def toc_realizability_small(toc: TocInstance) -> WeightedTree | None:
     for masks in iter_topologies(n):
         m = len(masks)
         paths = _leaf_paths(masks, n)
-        constraints = []
-        for small, large in relations:
-            base = len(paths[large]) - len(paths[small])  # the w = 1 + x shift
-            constraints.append((_path_diff(paths[large], paths[small]), exactlp.GE, 1 - base))
+        constraints = [_distance_row(paths[large], paths[small], exactlp.GE, 1) for small, large in relations]
         solution = exactlp.find_feasible_point(m, constraints)
         if solution is None:
             continue
-        tree = _tree_from(masks, labels, [w + 1 for w in solution])
+        tree = _tree_from(masks, labels, _lp_weights(solution, m))
         if not toc.realized_by(tree):
             raise InternalError("toc_realizability_small: the tree does not realize the order")
         return tree

@@ -83,15 +83,20 @@ def _leaf_paths(masks, n: int) -> dict:
     }
 
 
-def _path_diff(path_hi, path_lo) -> dict:
-    """The sparse LP row ``{edge index: coefficient}`` of the distance
-    along ``path_hi`` minus the distance along ``path_lo``, both edge
-    index tuples as ``_leaf_paths`` gives them; zero coefficients are
-    dropped."""
-    coeffs = {k: 1 for k in path_hi}
+def _distance_row(path_hi, path_lo, rel, rhs) -> tuple:
+    """The exact-LP row ``(coeffs, rel, rhs)`` of d(hi) - d(lo) rel rhs
+    for two ``_leaf_paths`` edge tuples, in the one LP encoding of tree
+    distances: edge e is x_e = w_e - 1 >= 0, so the rhs moves by
+    ``len(path_hi) - len(path_lo)``, and ``_lp_weights`` reads w back."""
+    coeffs = dict.fromkeys(path_hi, 1)
     for k in path_lo:
         coeffs[k] = coeffs.get(k, 0) - 1
-    return {k: c for k, c in coeffs.items() if c}
+    return {k: c for k, c in coeffs.items() if c}, rel, rhs - len(path_hi) + len(path_lo)
+
+
+def _lp_weights(solution, m: int) -> list:
+    """w = x + 1 for the first m variables of an LP solution."""
+    return [x + 1 for x in solution[:m]]
 
 
 def _mask_edges(masks, n: int) -> list:

@@ -314,6 +314,41 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    # exit 1 is a valid negative answer; a crash must never read as one
+    def broken(q):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "non_glp_family", broken)
+    code, out, err = run(capsys, "non-glp", "2")
+    assert code == 4 and out == ""
+    assert "internal error" in err and "RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1e10000000"])
+@pytest.mark.parametrize("command", ["verify", "make-leafroot", "check-4pc"])
+def test_bad_rational_is_a_usage_error(capsys, tmp_path, c4_path, command, bad):
+    # one case per loader: a certificate's thresholds, a tree's weights and
+    # a distance matrix; each names the text and exits 2
+    tree = WeightedTree([("c", "1", 2), ("c", "2", 3), ("c", "3", 7)], {x: x for x in "123"})
+    if command == "verify":
+        body = {"tree": tree.to_json_dict(), "thresholds": [bad]}
+        args = (c4_path,)
+    elif command == "make-leafroot":
+        body = tree.to_json_dict()
+        body["edges"][0][2] = bad
+        toc_path = tmp_path / "toc.txt"
+        toc_path.write_text(toc_from_tree(tree).to_text())
+        args = (str(toc_path),)
+    else:
+        body = {"points": list("abcd"), "distances": [["0", bad, "1", "1"]] + [["1"] * 4] * 3}
+        args = ()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, command, *args, str(path))
+    assert code == 2 and out == "" and repr(bad) in err
+
+
 def test_rationals_as_strings(capsys, tmp_path):
     rng = random.Random(44)
     tree = random_weighted_tree(rng, 5)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -190,6 +191,35 @@ class TestIntegerize:
                 for _, _, w in result.certificate.tree.edges:
                     assert w <= bound
         assert hits > 0  # the bound must actually get exercised
+
+    def test_lp_has_no_lower_bound_rows(self, monkeypatch):
+        # distances 2; 3, 3; 4, 4; 5 and thresholds 1, 3: two EQ rows, three
+        # gap rows and the row below the least distance, and none per edge,
+        # since the LP runs in x = w - 1 >= 0
+        calls = []
+        find_feasible_point = exactlp.find_feasible_point
+
+        def recording(num_vars, constraints):
+            calls.append((num_vars, constraints))
+            return find_feasible_point(num_vars, constraints)
+
+        monkeypatch.setattr(exactlp, "find_feasible_point", recording)
+        integerize_certificate_info(star({"a": 1, "b": 1, "c": 2, "d": 3}, (1, 3)))
+        [(num_vars, rows)] = calls
+        assert num_vars == 4 and len(rows) == 6
+        assert sorted(rel for _, rel, _ in rows) == [exactlp.EQ] * 2 + [exactlp.GE] * 4
+        assert not any(len(coeffs) == 1 and rel == exactlp.GE and rhs == 1 for coeffs, rel, rhs in rows)
+
+    def test_outputs_are_pinned(self):
+        # integerized certificates and basic flags of 300 seeded random
+        # certificates; a change here changes which valid certificate is
+        # returned, and must be said so
+        rng = random.Random(2500)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            result = integerize_certificate_info(random_certificate(rng))
+            digest.update(f"{result.certificate.to_json()} {result.basic}\n".encode())
+        assert digest.hexdigest() == "6c3501e6d733d283fd03e69013e03cbd20a87226879fce7527ad91a784665eb6"
 
     def test_infeasible_separation_system_raises(self, monkeypatch):
         # an LP answer of "infeasible" here is a bug, not a reason to fall back

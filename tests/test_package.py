@@ -40,3 +40,29 @@ def test_private_names_are_imported_only_from_tree_metric():
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != "tree_metric":
                 offenders += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert offenders == []
+
+
+def test_no_float_on_any_decision_path():
+    # exactness is the product: no float literal, no float() or round()
+    # call and no math.sqrt, math.log or math.exp anywhere in the package
+    inexact = {"sqrt", "log", "exp"}
+    offenders = []
+    for path in sorted((ROOT / "src" / "leafpower").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                offenders.append(f"{where}: literal {node.value!r}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                offenders += [f"{where}: math.{a.name}" for a in node.names if a.name in inexact]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id in ("float", "round"):
+                    offenders.append(f"{where}: {func.id}()")
+                elif (
+                    isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "math"
+                    and func.attr in inexact
+                ):
+                    offenders.append(f"{where}: math.{func.attr}()")
+    assert offenders == []

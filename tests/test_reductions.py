@@ -32,7 +32,9 @@ from leafpower import (
     verify_certificate,
 )
 from leafpower import exactlp, reductions
+from leafpower.recognition import _glp_rows
 from leafpower.reductions import GADGET_ELEMENT_CAP, TocInstance, minus, plus
+from leafpower.tree_metric import _leaf_masks, _leaf_paths, _lp_weights
 
 from conftest import random_weighted_tree, restrict_by_pruning
 
@@ -376,43 +378,25 @@ class TestExtract:
 
     def test_fixed_topology_lp_root_extracts(self):
         """Another leaf root of G_S than the one the construction builds: the
-        q = 1 exact LP on the constructed root's topology (x_e = w_e - 1,
-        y = theta - 1, one margin-1 row per leaf pair) finds its own weights
-        and threshold, and that root too restricts to a realization."""
+        q = 1 exact LP on the constructed root's topology (one margin-1 row
+        per leaf pair, ``_glp_rows``) finds its own weights and threshold,
+        and that root too restricts to a realization."""
         tree = WeightedTree([("c", "1", 2), ("c", "2", 5), ("c", "3", 9)], {x: x for x in "123"})
         toc = toc_from_tree(tree)
         gadget, topology = build_gs(toc), leaf_root_from_tree(tree, toc).tree
         edges = topology.edges
         m = len(edges)
-        adj = {}
-        for k, (u, v, _) in enumerate(edges):
-            adj.setdefault(u, []).append((v, k))
-            adj.setdefault(v, []).append((u, k))
         leaves = sorted(topology.leaf_labels)
-        rows = []
-        for i, a in enumerate(leaves):
-            parent, stack = {a: None}, [a]
-            while stack:
-                u = stack.pop()
-                for v, k in adj[u]:
-                    if v not in parent:
-                        parent[v] = (u, k)
-                        stack.append(v)
-            for b in leaves[i + 1:]:
-                path, x = [], b
-                while parent[x] is not None:
-                    x, k = parent[x]
-                    path.append(k)
-                coeffs = dict.fromkeys(path, 1) | {m: -1}
-                if gadget.graph.has_edge(topology.leaf_labels[a], topology.leaf_labels[b]):
-                    rows.append((coeffs, exactlp.LE, 1 - len(path)))  # d <= theta
-                else:
-                    rows.append((coeffs, exactlp.GE, 2 - len(path)))  # d >= theta + 1
+        masks = _leaf_masks([(u, v) for u, v, _ in edges], [topology.vertex_of(a) for a in leaves])
+        paths = _leaf_paths(masks, len(leaves))
+        regions = {(i, j): 0 if gadget.graph.has_edge(leaves[i], leaves[j]) else 1 for i, j in paths}
+        rows = _glp_rows(paths, m, 1, regions)
         assert (len(leaves), m, len(rows)) == (43, 58, 903)
         solution = exactlp.find_feasible_point(m + 1, rows)
         assert solution is not None
-        weighted = WeightedTree([(u, v, solution[k] + 1) for k, (u, v, _) in enumerate(edges)], topology.leaf_labels)
-        cert = GlpCertificate(weighted, ThresholdSequence((solution[m] + 1,)))
+        *weights, theta = _lp_weights(solution, m + 1)
+        weighted = WeightedTree([(u, v, w) for (u, v, _), w in zip(edges, weights)], topology.leaf_labels)
+        cert = GlpCertificate(weighted, ThresholdSequence((theta,)))
         # the construction's root has theta = 10 * 14 - 1 = 139
         assert cert.thresholds.thresholds == (23,)
         assert verify_certificate(gadget.graph, cert)

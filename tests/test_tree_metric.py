@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -18,9 +19,10 @@ from leafpower import (
     check_twins_lemma,
     classify_leaf_quartet,
     four_point_classify,
+    parse_rational,
     restrict_to_leaves,
 )
-from leafpower import tree_metric
+from leafpower import exactlp, tree_metric
 
 from conftest import random_weighted_tree, restrict_by_pruning, subdivided
 
@@ -135,6 +137,53 @@ class TestWeightedTree:
     def test_json_rejects_non_string_names(self, data):
         with pytest.raises(MalformedTreeError, match="not a string"):
             WeightedTree.from_json_dict(data)
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text, value", [("3/4", Fraction(3, 4)), (" -2 ", Fraction(-2)), ("1.25", Fraction(5, 4))])
+    def test_accepts_fractions_and_decimals(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "1e10000000", "2.5E-1"])
+    def test_rejects_zero_denominators_and_exponents(self, text):
+        # an exponent is rejected before any work: "1e10000000" would be a
+        # 33-Mbit integer
+        with pytest.raises(ValueError, match=repr(text)):
+            parse_rational(text)
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            parse_rational(0.5)
+
+
+class TestDistanceRow:
+    def test_row_holds_exactly_when_the_distances_do(self):
+        # at x_e = w_e - 1 the row of d(hi) - d(lo) rel rhs holds exactly
+        # when the inequality does, on rational weights below 1 as well
+        holds = {exactlp.GE: operator.ge, exactlp.LE: operator.le, exactlp.EQ: operator.eq}
+        rng = random.Random(25)
+        for _ in range(40):
+            t = random_weighted_tree(rng, rng.randint(2, 9))
+            labels = t.labels()
+            masks = tree_metric._leaf_masks([(u, v) for u, v, _ in t.edges], [t.vertex_of(a) for a in labels])
+            paths = tree_metric._leaf_paths(masks, len(labels))
+            x = [w - 1 for _, _, w in t.edges]
+            pairs = list(paths) + [None]  # None: the empty path, distance 0
+            for _ in range(20):
+                hi, lo = rng.choice(pairs), rng.choice(pairs)
+                d_hi = t.distance(labels[hi[0]], labels[hi[1]]) if hi else 0
+                d_lo = t.distance(labels[lo[0]], labels[lo[1]]) if lo else 0
+                diff = d_hi - d_lo
+                for rel, rhs in itertools.product(holds, (diff - 1, diff, diff + Fraction(1, 3))):
+                    coeffs, row_rel, row_rhs = tree_metric._distance_row(
+                        paths[hi] if hi else (), paths[lo] if lo else (), rel, rhs
+                    )
+                    assert row_rel == rel and 0 not in coeffs.values()
+                    lhs = sum(c * x[k] for k, c in coeffs.items())
+                    assert holds[rel](lhs, row_rhs) == holds[rel](diff, rhs)
+
+    def test_lp_weights_read_back_w(self):
+        assert tree_metric._lp_weights([Fraction(0), Fraction(1, 2), Fraction(7)], 2) == [1, Fraction(3, 2)]
 
 
 class TestFourPoint:
