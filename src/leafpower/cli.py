@@ -1,11 +1,15 @@
 """Batch command-line front end.
 
-Machine-readable JSON goes to stdout, diagnostics to stderr.  Exit codes:
-0 success/PASS, 1 valid negative answer (NONE/FAIL), 2 usage or format
-error, 3 capacity or k ceiling exceeded, 4 internal error (a failed
-self-check or any other unexpected exception: a bug, never an answer).
-Rationals are read as "p/q" or decimal strings, with no exponent, and
-serialized as "p/q" strings.
+Machine-readable JSON goes to stdout, diagnostics to stderr.  Every answer
+leaves through `_answer`: no answer prints ``{"result": "NONE"}`` and exits
+1; an answer writes its DOT rendering first, when ``--emit-dot`` asks for
+one, so that a failed write leaves stdout empty, then prints its JSON and
+exits 0.  `verify`, `check-4pc` and `fuzz` print their own PASS/FAIL and
+VIOLATION payloads.  Exit codes: 0 success/PASS, 1 valid negative answer
+(NONE/FAIL), 2 usage or format error, 3 capacity or k ceiling exceeded, 4
+internal error (a failed self-check or any other unexpected exception: a
+bug, never an answer).  Rationals are read as "p/q" or decimal strings,
+with no exponent, and serialized as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -67,6 +71,17 @@ EXIT_INTERNAL = 4
 # 10 minutes
 FUZZ_LEAF_CAP = 24
 
+# every input file, by the name of the argument that gives its path ("-" is
+# stdin): its help text and the reader that parses its text
+_INPUTS = {
+    "graph": ("graph JSON path", SimpleGraph.from_json),
+    "tree": ("tree JSON path", WeightedTree.from_json),
+    "cert": ("certificate JSON path", GlpCertificate.from_json),
+    "toc": ("TOC text path", TocInstance.from_text),
+    "gadget": ("gadget JSON path", lambda text: GadgetGraph.from_json_dict(json.loads(text))),
+    "matrix": ("distance matrix JSON path", json.loads),
+}
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -80,80 +95,47 @@ def _emit(data) -> None:
     sys.stdout.write("\n")
 
 
-def _load_graph(path) -> SimpleGraph:
-    return SimpleGraph.from_json(_read(path))
-
-
-def _load_tree(path) -> WeightedTree:
-    return WeightedTree.from_json(_read(path))
-
-
-def _load_cert(path) -> GlpCertificate:
-    return GlpCertificate.from_json(_read(path))
-
-
-def _load_toc(path) -> TocInstance:
-    return TocInstance.from_text(_read(path))
-
-
-def _gadget_to_json(gadget: GadgetGraph) -> dict:
-    return {
-        "graph": gadget.graph.to_json_dict(),
-        "roles": gadget.roles,
-        "elements": list(gadget.elements),
-    }
-
-
-def _gadget_from_json(data: dict) -> GadgetGraph:
-    return GadgetGraph(
-        SimpleGraph.from_json_dict(data["graph"]),
-        data["roles"],
-        tuple(data["elements"]),
-    )
-
-
-def _graph_dot(graph: SimpleGraph) -> str:
+def _dot(result) -> str:
+    """Graphviz text of a result: a certificate draws its tree, a gadget its
+    graph."""
+    if isinstance(result, GlpCertificate):
+        result = result.tree
+    elif isinstance(result, GadgetGraph):
+        result = result.graph
     lines = ["graph {"]
-    for v in graph.vertices:
-        lines.append(f'  "{v}";')
-    for u, v in graph.edge_list():
-        lines.append(f'  "{u}" -- "{v}";')
+    if isinstance(result, WeightedTree):
+        labeled = set(result.leaf_labels.values())
+        for v in result.vertices:
+            shape = "circle" if v in labeled else "point"
+            lines.append(f'  "{v}" [shape={shape}];')
+        for u, v, w in result.edges:
+            lines.append(f'  "{u}" -- "{v}" [label="{format_rational(w)}"];')
+    else:
+        for v in result.vertices:
+            lines.append(f'  "{v}";')
+        for u, v in result.edge_list():
+            lines.append(f'  "{u}" -- "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _tree_dot(tree: WeightedTree) -> str:
-    lines = ["graph {"]
-    labeled = set(tree.leaf_labels.values())
-    for v in tree.vertices:
-        shape = "circle" if v in labeled else "point"
-        lines.append(f'  "{v}" [shape={shape}];')
-    for u, v, w in tree.edges:
-        lines.append(f'  "{u}" -- "{v}" [label="{format_rational(w)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-# the subcommands that render their output as DOT under --emit-dot; the
-# others have no graph or tree to render and do not take the flag
-_DOT_COMMANDS = (
-    "recognize", "k-leaf-power", "gen-gs", "make-leafroot", "extract-toc", "glp-step", "non-glp", "toc-realize"
-)
-
-
-def _maybe_dot(args, obj) -> None:
+def _answer(args, result) -> int:
+    """Emit a subcommand's answer: ``None`` is the negative answer NONE;
+    anything else is a dict or has ``to_json_dict``."""
+    if result is None:
+        _emit({"result": "NONE"})
+        return EXIT_NEGATIVE
     if args.emit_dot:
-        text = _tree_dot(obj) if isinstance(obj, WeightedTree) else _graph_dot(obj)
         with open(args.emit_dot, "w") as fh:
-            fh.write(text)
+            fh.write(_dot(result))
+    _emit(result if isinstance(result, dict) else result.to_json_dict())
+    return EXIT_PASS
 
 
-# --- subcommand bodies -----------------------------------------------------
+# --- subcommand bodies: each takes the parsed arguments and its inputs ------
 
 
-def _cmd_verify(args) -> int:
-    graph = _load_graph(args.graph)
-    cert = _load_cert(args.cert)
+def _verify(args, graph, cert) -> int:
     try:
         if verify_certificate(graph, cert):
             _emit({"status": "PASS"})
@@ -187,96 +169,55 @@ def _limits(args) -> RecognitionLimits:
     return RecognitionLimits(args.max_leaves, getattr(args, "ceiling", None) or DEFAULT_LIMITS.k_ceiling)
 
 
-def _cmd_recognize(args) -> int:
-    graph = _load_graph(args.graph)
-    cert = recognize_glp(graph, args.q, _limits(args))
-    if cert is None:
-        _emit({"result": "NONE"})
-        return EXIT_NEGATIVE
-    _emit(cert.to_json_dict())
-    _maybe_dot(args, cert.tree)
-    return EXIT_PASS
+def _recognize(args, graph) -> int:
+    return _answer(args, recognize_glp(graph, args.q, _limits(args)))
 
 
-def _cmd_leaf_rank(args) -> int:
-    graph = _load_graph(args.graph)
+def _leaf_rank(args, graph) -> int:
     rank = leaf_rank(graph, _limits(args))
-    if rank is None:
-        _emit({"result": "NONE"})
-        return EXIT_NEGATIVE
-    _emit({"leaf_rank": rank})
-    return EXIT_PASS
+    return _answer(args, None if rank is None else {"leaf_rank": rank})
 
 
-def _cmd_k_leaf_power(args) -> int:
-    graph = _load_graph(args.graph)
-    tree = is_k_leaf_power(graph, args.k, _limits(args))
-    if tree is None:
-        _emit({"result": "NONE"})
-        return EXIT_NEGATIVE
-    _emit(tree.to_json_dict())
-    _maybe_dot(args, tree)
-    return EXIT_PASS
+def _k_leaf_power(args, graph) -> int:
+    return _answer(args, is_k_leaf_power(graph, args.k, _limits(args)))
 
 
-def _cmd_gen_gs(args) -> int:
-    gadget = build_gs(_load_toc(args.toc))
-    _emit(_gadget_to_json(gadget))
-    _maybe_dot(args, gadget.graph)
-    return EXIT_PASS
+def _gen_gs(args, toc) -> int:
+    return _answer(args, build_gs(toc))
 
 
-def _cmd_make_leafroot(args) -> int:
-    toc = _load_toc(args.toc)
-    tree = _load_tree(args.tree)
-    cert = leaf_root_from_tree(tree, toc)
-    _emit(cert.to_json_dict())
-    _maybe_dot(args, cert.tree)
-    return EXIT_PASS
+def _make_leafroot(args, toc, tree) -> int:
+    return _answer(args, leaf_root_from_tree(tree, toc))
 
 
-def _cmd_extract_toc(args) -> int:
-    cert = _load_cert(args.cert)
-    gadget = _gadget_from_json(json.loads(_read(args.gadget)))
+def _extract_toc(args, cert, gadget) -> int:
     try:
         tree = extract_toc_tree(cert, gadget)
     except InvalidWitnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _emit({"result": "NONE"})
-        return EXIT_NEGATIVE
-    _emit(tree.to_json_dict())
-    _maybe_dot(args, tree)
-    return EXIT_PASS
+        tree = None
+    return _answer(args, tree)
 
 
-def _cmd_lift(args) -> int:
-    _emit(cert_lift(_load_cert(args.cert)).to_json_dict())
-    return EXIT_PASS
+def _lift(args, cert) -> int:
+    return _answer(args, cert_lift(cert))
 
 
-def _cmd_complement_cert(args) -> int:
-    _emit(cert_complement(_load_cert(args.cert)).to_json_dict())
-    return EXIT_PASS
+def _complement_cert(args, cert) -> int:
+    return _answer(args, cert_complement(cert))
 
 
-def _cmd_glp_step(args) -> int:
-    out = glp_step(_load_graph(args.graph))
-    _emit(out.to_json_dict())
-    _maybe_dot(args, out)
-    return EXIT_PASS
+def _glp_step(args, graph) -> int:
+    return _answer(args, glp_step(graph))
 
 
-def _cmd_non_glp(args) -> int:
-    out = non_glp_family(args.q)
-    _emit(out.to_json_dict())
-    _maybe_dot(args, out)
-    return EXIT_PASS
+def _non_glp(args) -> int:
+    return _answer(args, non_glp_family(args.q))
 
 
-def _cmd_check_4pc(args) -> int:
-    data = json.loads(_read(args.matrix))
-    points = data["points"]
-    rows = data["distances"]
+def _check_4pc(args, matrix) -> int:
+    points = matrix["points"]
+    rows = matrix["distances"]
     if len(points) != 4 or len(rows) != 4 or any(len(row) != 4 for row in rows):
         raise MalformedMetricError("check-4pc takes exactly 4 points and a 4 x 4 distance matrix")
     d = {}
@@ -293,14 +234,8 @@ def _cmd_check_4pc(args) -> int:
     return EXIT_NEGATIVE if verdict.case_id == VIOLATION else EXIT_PASS
 
 
-def _cmd_toc_realize(args) -> int:
-    tree = toc_realizability_small(_load_toc(args.toc))
-    if tree is None:
-        _emit({"result": "NONE"})
-        return EXIT_NEGATIVE
-    _emit(tree.to_json_dict())
-    _maybe_dot(args, tree)
-    return EXIT_PASS
+def _toc_realize(args, toc) -> int:
+    return _answer(args, toc_realizability_small(toc))
 
 
 def _random_tree(rng: random.Random, n_leaves: int) -> WeightedTree:
@@ -321,7 +256,7 @@ def _random_tree(rng: random.Random, n_leaves: int) -> WeightedTree:
     return WeightedTree(edges, labels)
 
 
-def _cmd_fuzz(args) -> int:
+def _fuzz(args) -> int:
     if args.leaves > FUZZ_LEAF_CAP:
         raise CapacityError(f"--leaves {args.leaves} exceeds the fuzz cap of {FUZZ_LEAF_CAP}")
     rng = random.Random(args.seed)
@@ -367,47 +302,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **files):
+    def add(name, fn, *inputs, dot=False):
+        """Declare a subcommand: ``fn(args, **inputs)`` runs it on the parsed
+        input files, and ``dot`` offers ``--emit-dot`` for its answer."""
         sub = subs.add_parser(name)
-        for arg, help_text in files.items():
-            sub.add_argument(arg, help=help_text)
-        if name in _DOT_COMMANDS:
+        for arg in inputs:
+            sub.add_argument(arg, help=_INPUTS[arg][0])
+        if dot:
             sub.add_argument("--emit-dot", metavar="PATH", help="also write a DOT rendering")
-        sub.set_defaults(fn=fn)
+        sub.set_defaults(fn=fn, inputs=inputs, emit_dot=None)
         return sub
 
-    add("verify", _cmd_verify, graph="graph JSON path", cert="certificate JSON path")
+    add("verify", _verify, "graph", "cert")
 
-    sub = add("recognize", _cmd_recognize, graph="graph JSON path")
+    sub = add("recognize", _recognize, "graph", dot=True)
     sub.add_argument("-q", type=int, required=True, help="order of the hierarchy")
     sub.add_argument("--max-leaves", type=_positive_int, help="override the size cap")
 
-    sub = add("leaf-rank", _cmd_leaf_rank, graph="graph JSON path")
+    sub = add("leaf-rank", _leaf_rank, "graph")
     sub.add_argument("--max-leaves", type=_positive_int)
     sub.add_argument("--ceiling", type=_positive_int, help="give up above this k")
 
-    sub = add("k-leaf-power", _cmd_k_leaf_power, graph="graph JSON path")
+    sub = add("k-leaf-power", _k_leaf_power, "graph", dot=True)
     sub.add_argument("-k", type=int, required=True)
     sub.add_argument("--max-leaves", type=_positive_int)
 
-    add("gen-gs", _cmd_gen_gs, toc="TOC text path")
-    add("make-leafroot", _cmd_make_leafroot, toc="TOC text path", tree="tree JSON path")
-    add("extract-toc", _cmd_extract_toc, cert="certificate JSON path", gadget="gadget JSON path")
-    add("lift", _cmd_lift, cert="certificate JSON path")
-    add("complement-cert", _cmd_complement_cert, cert="certificate JSON path")
-    add("glp-step", _cmd_glp_step, graph="graph JSON path")
+    add("gen-gs", _gen_gs, "toc", dot=True)
+    add("make-leafroot", _make_leafroot, "toc", "tree", dot=True)
+    add("extract-toc", _extract_toc, "cert", "gadget", dot=True)
+    add("lift", _lift, "cert")
+    add("complement-cert", _complement_cert, "cert")
+    add("glp-step", _glp_step, "graph", dot=True)
 
-    sub = add("non-glp", _cmd_non_glp)
+    sub = add("non-glp", _non_glp, dot=True)
     sub.add_argument("q", type=int)
 
-    add("check-4pc", _cmd_check_4pc, matrix="distance matrix JSON path")
-    add("toc-realize", _cmd_toc_realize, toc="TOC text path")
+    add("check-4pc", _check_4pc, "matrix")
+    add("toc-realize", _toc_realize, "toc", dot=True)
 
-    sub = subs.add_parser("fuzz")
+    sub = add("fuzz", _fuzz)
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--trees", type=_positive_int, default=100)
     sub.add_argument("--leaves", type=_int_at_least(4), default=8)
-    sub.set_defaults(fn=_cmd_fuzz)
     return parser
 
 
@@ -418,7 +354,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        inputs = {arg: _INPUTS[arg][1](_read(getattr(args, arg))) for arg in args.inputs}
+        return args.fn(args, **inputs)
     except (CapacityError, CeilingExceededError) as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -92,11 +92,6 @@ def find_feasible_point(
             art_rows.append((row, scale))
         tableau.append(row)
 
-    if not art_rows:
-        # every row had a slack basis; the all-zero point may still violate
-        # nothing (all rhs >= 0 and rel <=), so it is feasible.
-        return [Fraction(0)] * num_vars
-
     # phase-1 objective row: the sum of the rational artificial rows, times
     # the lcm of their scales
     common = math.lcm(*(scale for _, scale in art_rows))

@@ -271,6 +271,13 @@ class GadgetGraph:
     def origin(self) -> str:
         return self.roles["O"]
 
+    def to_json_dict(self) -> dict:
+        return {"graph": self.graph.to_json_dict(), "roles": self.roles, "elements": list(self.elements)}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "GadgetGraph":
+        return cls(SimpleGraph.from_json_dict(data["graph"]), data["roles"], tuple(data["elements"]))
+
 
 def build_gs(toc: TocInstance) -> GadgetGraph:
     """Gadget with 2|S| + 4|S|^2 + 1 vertices.

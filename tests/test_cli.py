@@ -1,10 +1,19 @@
+import hashlib
 import itertools
 import json
 import random
 
 import pytest
 
-from leafpower import InternalError, SimpleGraph, WeightedTree, toc_from_tree
+from leafpower import (
+    InternalError,
+    SimpleGraph,
+    TocInstance,
+    WeightedTree,
+    build_gs,
+    leaf_root_from_tree,
+    toc_from_tree,
+)
 from leafpower import cli, recognition, reductions
 from leafpower.cli import main
 
@@ -17,6 +26,12 @@ def c4_path(tmp_path):
     p = tmp_path / "c4.json"
     p.write_text(g.to_json())
     return str(p)
+
+
+# the subcommands that write a DOT rendering under --emit-dot
+DOT_COMMANDS = (
+    "recognize", "k-leaf-power", "gen-gs", "make-leafroot", "extract-toc", "glp-step", "non-glp", "toc-realize"
+)
 
 
 def run(capsys, *args):
@@ -176,11 +191,55 @@ def test_glp_step(capsys, tmp_path, c4_path):
     assert len(json.loads(out)["vertices"]) == 8
 
 
-def test_emit_dot(capsys, tmp_path):
-    dot = tmp_path / "g.dot"
-    code, _, _ = run(capsys, "non-glp", "1", "--emit-dot", str(dot))
-    assert code == 0
-    assert dot.read_text().startswith("graph {")
+@pytest.fixture
+def drawing_runs(tmp_path, c4_path):
+    """Arguments that give each subcommand taking --emit-dot an answer."""
+    tree = WeightedTree([("c", "1", 2), ("c", "2", 3), ("c", "3", 7)], {x: x for x in "123"})
+    toc = toc_from_tree(tree)
+    files = {
+        "p4.json": SimpleGraph("abcd", zip("abc", "bcd")).to_json(),
+        "toc.txt": toc.to_text(),
+        "tree.json": tree.to_json(),
+        "root.json": leaf_root_from_tree(tree, toc).to_json(),
+        "gadget.json": json.dumps(build_gs(toc).to_json_dict()),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    path = {name: str(tmp_path / name) for name in files}
+    return {
+        "recognize": [c4_path, "-q", "2"],
+        "k-leaf-power": [path["p4.json"], "-k", "3"],
+        "gen-gs": [path["toc.txt"]],
+        "make-leafroot": [path["toc.txt"], path["tree.json"]],
+        "extract-toc": [path["root.json"], path["gadget.json"]],
+        "glp-step": [c4_path],
+        "non-glp": ["1"],
+        "toc-realize": [path["toc.txt"]],
+    }
+
+
+def test_emit_dot(capsys, tmp_path, drawing_runs):
+    # the DOT file draws the tree or graph of the answer: one line per edge
+    dot = tmp_path / "out.dot"
+    for command in DOT_COMMANDS:
+        code, out, _ = run(capsys, command, *drawing_runs[command], "--emit-dot", str(dot))
+        assert code == 0, command
+        body = json.loads(out)
+        drawn = body.get("tree") or body.get("graph") or body
+        text = dot.read_text()
+        assert text.startswith("graph {") and text.endswith("}\n"), command
+        assert text.count(" -- ") == len(drawn["edges"]), command
+        dot.unlink()
+
+
+def test_failed_dot_write_prints_no_answer(capsys, tmp_path, drawing_runs):
+    # the DOT file is written before the JSON, so a write that fails leaves
+    # stdout empty and exits 2
+    dot = tmp_path / "missing" / "out.dot"
+    for command in DOT_COMMANDS:
+        code, out, err = run(capsys, command, *drawing_runs[command], "--emit-dot", str(dot))
+        assert code == 2 and out == "" and "No such file or directory" in err, command
+        assert not dot.exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "leaf-rank", "lift", "complement-cert", "check-4pc"])
@@ -305,10 +364,10 @@ def test_check_4pc_needs_four_points(capsys, tmp_path):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    def broken(args):
+    def broken(q):
         raise InternalError("self-check failed")
 
-    monkeypatch.setattr(cli, "_cmd_non_glp", broken)
+    monkeypatch.setattr(cli, "non_glp_family", broken)
     code, _, err = run(capsys, "non-glp", "2")
     assert code == 4
     assert "internal error" in err
@@ -370,3 +429,97 @@ def test_empty_graph_is_a_usage_error(capsys, tmp_path):
     ):
         code, out, err = run(capsys, args[0], str(path), *args[1:])
         assert code == 2 and out == "" and "at least 1 leaf" in err
+
+
+# an order on four elements that no tree realizes
+UNREALIZABLE_S4 = """elements: 1 2 3 4
+1 2 3 : 2,3 < 1,2 < 1,3
+1 2 4 : 1,4 < 1,2 < 2,4
+1 3 4 : 3,4 < 1,4 < 1,3
+2 3 4 : 2,4 < 2,3 < 3,4
+"""
+
+PINNED_STEPS = (
+    # (argv, file that keeps its stdout for later steps)
+    ("recognize c4.json -q 1", None),
+    ("recognize c4.json -q 2", "cert.json"),
+    ("recognize big.json -q 1", None),
+    ("recognize bad.json -q 1", None),
+    ("recognize nope.json -q 1", None),
+    ("recognize", None),
+    ("verify c4.json cert.json", None),
+    ("verify k4.json cert.json", None),
+    ("verify c5.json cert.json", None),
+    ("verify c4.json cert.json --emit-dot out.dot", None),
+    ("leaf-rank c4.json", None),
+    ("leaf-rank p4.json", None),
+    ("k-leaf-power c4.json -k 2", None),
+    ("k-leaf-power p4.json -k 3", None),
+    ("gen-gs toc.txt", "gadget.json"),
+    ("gen-gs flipped.txt", "flipped_gadget.json"),
+    ("make-leafroot toc.txt tree.json", "root.json"),
+    ("extract-toc root.json gadget.json", None),
+    ("extract-toc root.json flipped_gadget.json", None),
+    ("lift cert.json", None),
+    ("complement-cert cert.json", None),
+    ("glp-step c4.json", None),
+    ("non-glp 1", None),
+    ("non-glp 9", None),
+    ("check-4pc unit.json", None),
+    ("check-4pc violation.json", None),
+    ("check-4pc three.json", None),
+    ("toc-realize toc.txt", None),
+    ("toc-realize unrealizable.txt", None),
+    ("fuzz --seed 7 --trees 5", None),
+    ("fuzz --seed 7 --leaves 25", None),
+    *((f"{command} -h", None) for command in (
+        "verify", "recognize", "leaf-rank", "k-leaf-power", "gen-gs", "make-leafroot", "extract-toc",
+        "lift", "complement-cert", "glp-step", "non-glp", "check-4pc", "toc-realize", "fuzz",
+    )),
+)
+
+
+def test_outputs_are_pinned(capsys, monkeypatch, tmp_path):
+    # one sha256 over (argv, exit code, stdout, stderr, DOT text) of every
+    # subcommand on fixed inputs, with and without --emit-dot where it is
+    # offered: answers, NONE, FAIL, capacity (3) and usage (2) paths, and
+    # each help text; the usage and error texts are those of Python 3.11's
+    # argparse and json, and argparse wraps its usage lines to COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    tree = WeightedTree([("c", "1", 2), ("c", "2", 3), ("c", "3", 7)], {x: x for x in "123"})
+    toc = toc_from_tree(tree)
+    flipped = TocInstance(toc.elements, {t: order[::-1] for t, order in toc.triple_orders.items()})
+    unit = [[str(int(i != j)) for j in range(4)] for i in range(4)]
+    skew = [["0", "1", "1415/1000", "1"], ["1", "0", "1", "1415/1000"],
+            ["1415/1000", "1", "0", "1"], ["1", "1415/1000", "1", "0"]]
+    inputs = {
+        "c4.json": SimpleGraph("abcd", zip("abcd", "bcda")).to_json(),
+        "c5.json": SimpleGraph("abcde", zip("abcde", "bcdea")).to_json(),
+        "k4.json": SimpleGraph("abcd", itertools.combinations("abcd", 2)).to_json(),
+        "p4.json": SimpleGraph("abcd", zip("abc", "bcd")).to_json(),
+        "big.json": SimpleGraph([f"v{i}" for i in range(12)]).to_json(),
+        "bad.json": "{not json",
+        "tree.json": tree.to_json(),
+        "toc.txt": toc.to_text(),
+        "flipped.txt": flipped.to_text(),
+        "unrealizable.txt": UNREALIZABLE_S4,
+        "unit.json": json.dumps({"points": list("abcd"), "distances": unit}),
+        "violation.json": json.dumps({"points": list("abcd"), "distances": skew}),
+        "three.json": json.dumps({"points": list("abc"), "distances": unit[:3]}),
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    dot = tmp_path / "out.dot"
+    digest = hashlib.sha256()
+    for line, keep in PINNED_STEPS:
+        words = line.split()
+        runs = [words, words + ["--emit-dot", "out.dot"]] if words[0] in DOT_COMMANDS else [words]
+        for argv in runs:
+            code, out, err = run(capsys, *(str(tmp_path / w) if "." in w else w for w in argv))
+            drawn = dot.read_text() if dot.exists() else ""
+            dot.unlink(missing_ok=True)
+            record = [argv, code, out, err.replace(str(tmp_path), "<tmp>"), drawn]
+            digest.update(json.dumps(record).encode())
+        if keep:
+            (tmp_path / keep).write_text(out)
+    assert digest.hexdigest() == "6c766ba6c86e6084322bc79e3e45e1924b5e0fce63bdb8e1a2bf9884445e4668"
