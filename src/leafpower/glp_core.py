@@ -6,8 +6,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import exactlp
@@ -62,9 +62,6 @@ class SimpleGraph:
 
     def neighbors(self, v) -> set:
         return set(self._adj[v])
-
-    def degree(self, v) -> int:
-        return len(self._adj[v])
 
     def __len__(self):
         return len(self._vertices)
@@ -172,8 +169,8 @@ def graph_from_certificate(cert: GlpCertificate) -> SimpleGraph:
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
             d = matrix[(a, b)]
-            count = sum(1 for t in thresholds if d <= t)
-            if count % 2 == 1:
+            # the thresholds at or above d, as they strictly increase
+            if (len(thresholds) - bisect_left(thresholds, d)) % 2 == 1:
                 edges.append((a, b))
     return SimpleGraph(labels, edges)
 
@@ -201,12 +198,13 @@ class IntegerizeResult:
     """Outcome of integerization; ``basic`` marks a margin-1 vertex solution,
     for which the Hadamard weight bound |E|^{|E|/2} is guaranteed.
 
-    Every system with all margins 1 gets that flag.  The LP runs in
-    x = w - 1 (``_distance_row``), so its polyhedron {x >= 0, A x >= b - A 1}
-    is the separation polyhedron {w >= 1, A w >= b} translated by 1, and a
-    translation maps vertices to vertices.  ``find_feasible_point`` returns
-    a basic feasible solution, a vertex in x, so its weights are already a
-    vertex of the separation polyhedron and no rank test is needed."""
+    All margins are 1 exactly when every threshold is tied to a distance
+    or lies above them all.  The LP runs in x = w - 1 (``_distance_row``),
+    so its polyhedron {x >= 0, A x >= b - A 1} is the separation polyhedron
+    {w >= 1, A w >= b} translated by 1, and a translation maps vertices to
+    vertices.  ``find_feasible_point`` returns a basic feasible solution, a
+    vertex in x, so its weights are already a vertex of the separation
+    polyhedron and no rank test is needed."""
 
     certificate: GlpCertificate
     basic: bool
@@ -221,19 +219,18 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
 
     The induced graph is preserved bit-exactly, and so is the strict/equal
     pattern of the merged sequence of leaf-pair distances and thresholds.
-    The new weights come from a basic feasible point of the margin-1
-    separation system over the edge weights (equal distances stay equal);
-    thresholds are then re-placed as integers inside the preserved gaps.
+    With d_0 < d_1 < ... the distinct distances, a threshold is tied to
+    some d_i, or it is the j-th of the free[i] thresholds in gap i, below
+    d_i and above d_(i-1) (the top gap lies above every distance).  The
+    new weights are a basic feasible point of: equal distances stay equal,
+    d_0 >= free[0] + 2 when free[0] > 0, and d_i - d_(i-1) >= free[i] + 1.
+    A tied threshold takes the new d_i, a free one the new d_(i-1) + j
+    (0 + j in gap 0).
     """
     tree = cert.tree
     labels = tree.labels()
     edges = tree.edges
     m = len(edges)
-    if m == 0:
-        # one-leaf tree; thresholds just need to be distinct positive ints
-        new_thr = ThresholdSequence(tuple(Fraction(k + 1) for k in range(cert.order)))
-        return IntegerizeResult(GlpCertificate(tree, new_thr), True)
-
     masks = _leaf_masks([(u, v) for u, v, _ in edges], [tree.vertex_of(a) for a in labels])
     paths = _leaf_paths(masks, len(labels))
     matrix = tree.distance_matrix()
@@ -243,28 +240,26 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
     for (i, j), path in paths.items():
         by_value.setdefault(matrix[(labels[i], labels[j])], []).append(path)
     values = sorted(by_value)
-    thresholds = list(cert.thresholds.thresholds)
+    groups = [by_value[d] for d in values]
 
-    # how many thresholds sit strictly inside each gap (or below everything)
-    def gap_margin(low_value, high_value) -> int:
-        inside = sum(1 for t in thresholds if (low_value is None or low_value < t) and t < high_value)
-        # k thresholds strictly inside a gap need k+1 units of room
-        return inside + 1
+    # a threshold's anchor (a, j) places it at floor[a] + j, where floor
+    # lists 0, d_0, d_1, ...: a tie to d_i is (i + 1, 0), the j-th free
+    # threshold of gap i is (i, j)
+    free = [0] * (len(values) + 1)
+    anchors = []
+    for t in cert.thresholds:
+        i = bisect_left(values, t)
+        if i < len(values) and values[i] == t:
+            anchors.append((i + 1, 0))
+        else:
+            free[i] += 1
+            anchors.append((i, free[i]))
 
-    # equalities within each value group
-    constraints = [
-        _distance_row(other, by_value[v][0], exactlp.EQ, 0) for v in values for other in by_value[v][1:]
-    ]
-    # margins between consecutive distinct values
-    below = gap_margin(None, values[0]) if any(t < values[0] for t in thresholds) else 0
-    if below:
-        # room for integer thresholds in [1, first value)
-        constraints.append(_distance_row(by_value[values[0]][0], (), exactlp.GE, below + 1))
-    basic_margins = not below
-    for low, high in zip(values, values[1:]):
-        margin = gap_margin(low, high)
-        basic_margins &= margin == 1
-        constraints.append(_distance_row(by_value[high][0], by_value[low][0], exactlp.GE, margin))
+    constraints = [_distance_row(other, group[0], exactlp.EQ, 0) for group in groups for other in group[1:]]
+    if groups and free[0]:
+        constraints.append(_distance_row(groups[0][0], (), exactlp.GE, free[0] + 2))
+    for i in range(1, len(groups)):
+        constraints.append(_distance_row(groups[i][0], groups[i - 1][0], exactlp.GE, free[i] + 1))
 
     solution = exactlp.find_feasible_point(m, constraints)
     if solution is None:
@@ -277,41 +272,20 @@ def integerize_certificate_info(cert: GlpCertificate) -> IntegerizeResult:
     if not all(w.denominator == 1 and w >= 1 for w in weights):
         raise InternalError("integerize: scaled weights are not integers >= 1")
 
+    floor = [0, *(sum(weights[k] for k in group[0]) for group in groups)]
+    # the new distances must leave each gap room for its free thresholds
+    if any(low + f >= high for low, f, high in zip(floor, free, floor[1:])):
+        raise InternalError("integerize: gap margin too small for thresholds")
     new_tree = WeightedTree(
         [(u, v, w) for (u, v, _), w in zip(edges, weights)],
         tree.leaf_labels,
         vertices=tree.vertices,
     )
-    new_value_of = {value: sum(weights[k] for k in by_value[value][0]) for value in values}
-
-    new_thresholds = _replace_thresholds(thresholds, values, new_value_of)
-    new_cert = GlpCertificate(new_tree, ThresholdSequence(tuple(new_thresholds)))
+    new_cert = GlpCertificate(new_tree, ThresholdSequence(tuple(floor[a] + j for a, j in anchors)))
     if graph_from_certificate(new_cert) != graph_from_certificate(cert):
         raise InternalError("integerize: the integer certificate induces another graph")
 
-    return IntegerizeResult(new_cert, basic_margins)
-
-
-def _replace_thresholds(thresholds, values, new_value_of):
-    """Place integer thresholds preserving their position among the values."""
-    new_thresholds = []
-    for t in thresholds:
-        if t in new_value_of:  # tied to a distance: keep the tie
-            new_thresholds.append(new_value_of[t])
-            continue
-        below = [v for v in values if v < t]
-        above = [v for v in values if v > t]
-        lo = new_value_of[below[-1]] if below else Fraction(0)
-        # consecutive thresholds inside the same gap step up by 1
-        candidate = lo + 1
-        while new_thresholds and candidate <= new_thresholds[-1]:
-            candidate = new_thresholds[-1] + 1
-        if above:
-            hi = new_value_of[above[0]]
-            if candidate >= hi:
-                raise InternalError("integerize: gap margin too small for thresholds")
-        new_thresholds.append(candidate)
-    return new_thresholds
+    return IntegerizeResult(new_cert, not any(free[:-1]))
 
 
 def is_chordal(graph: SimpleGraph) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from . import exactlp
@@ -323,42 +322,39 @@ def build_gs(toc: TocInstance) -> GadgetGraph:
 # leaf-root construction
 
 
-def _integer_scaled(tree: WeightedTree) -> WeightedTree:
-    denom = lcm(*(Fraction(w).denominator for _, _, w in tree.edges))
-    return tree.scaled(denom) if denom != 1 else tree
-
-
 def leaf_root_from_tree(tree: WeightedTree, toc: TocInstance) -> GlpCertificate:
     """Turn a tree realizing the order into a leaf root of the gadget.
 
-    Integer weights are required by the strict-gap arithmetic, so rational
-    inputs are scaled up first (scaling preserves the order).  Trees of
-    diameter below 6 are pre-scaled by 6.  The output threshold is exactly
-    10*diam - 1 for the (possibly pre-scaled) input diameter.
+    The strict-gap arithmetic needs integer weights, so the construction
+    reads the input tree scaled by s, the lcm of its weight denominators,
+    times 6 when that scaled diameter is below 6 (scaling preserves the
+    order).  No scaled copy is built: each host edge weighs 4*s*w, and
+    the output threshold is exactly 10*diam - 1 for diam = s times the
+    input diameter.
     """
     _check_gadget_size(toc.elements)
     if set(tree.labels()) != set(toc.elements):
         raise RealizationMismatchError("tree leaves differ from the element set")
     if len(toc.elements) < 2:
         raise DegenerateTreeError("need at least 2 elements for the construction")
-    tree = _integer_scaled(tree)
     bad = toc.violations(tree)
     if bad:
         raise RealizationMismatchError(f"order not realized on triples {bad[:3]}")
-    if tree.diameter() < 6:
-        tree = tree.scaled(6)
-    diam = tree.diameter()
+    s = lcm(*(w.denominator for _, _, w in tree.edges))
+    if s * tree.diameter() < 6:
+        s *= 6
+    diam = s * tree.diameter()
 
     gadget = build_gs(toc)
 
-    # step 1: scale by 4, relabel leaves i -> p'_i (internals get a prefix)
+    # step 1: scale by 4s, relabel leaves i -> p'_i (internals get a prefix)
     label_of = {v: lbl for lbl, v in tree.leaf_labels.items()}
 
     def host_name(v):
         lbl = label_of.get(v)
         return f"p'_{lbl}" if lbl is not None else f"t_{v}"
 
-    edges = [(host_name(u), host_name(v), 4 * w) for u, v, w in tree.edges]
+    edges = [(host_name(u), host_name(v), 4 * s * w) for u, v, w in tree.edges]
 
     # step 2: attach O at 5*diam to a canonical non-leaf vertex
     internal = sorted(
@@ -383,14 +379,14 @@ def leaf_root_from_tree(tree: WeightedTree, toc: TocInstance) -> GlpCertificate:
         edges.append((f"p_{x}", f"O_{x}", 5 * diam))
 
     # step 5: u_{x,y} at 5*diam - d(p_x, v_y) off O_x, where v_y hangs at 1
-    # off p_y.  p_x hangs at off(x) off p'_i and the p'_i lie 4*d_T(i, j)
-    # apart, so d(p_x, p_y) = off(x) + 4*d_T(i, j) + off(y) for x != y
+    # off p_y.  p_x hangs at off(x) off p'_i and the p'_i lie 4*s*d_T(i, j)
+    # apart, so d(p_x, p_y) = off(x) + 4*s*d_T(i, j) + off(y) for x != y
     # (partners get 1 + 2, as d_T(i, i) = 0): the input tree's cached
     # matrix gives every one of them without a walk of the root
     d_T = tree.distance_matrix()
     for x, i, off_x in copies:
         for y, j, off_y in copies:
-            w = 5 * diam - 1 - (off_x + 4 * d_T[i, j] + off_y if x != y else 0)
+            w = 5 * diam - 1 - (off_x + 4 * s * d_T[i, j] + off_y if x != y else 0)
             if w <= 0:
                 raise InternalError(f"leaf_root_from_tree: weight {w} for u_{x},{y}")
             edges.append((f"O_{x}", gadget.u(x, y), w))

@@ -207,12 +207,6 @@ class WeightedTree:
     def labels(self) -> tuple:
         return tuple(sorted(self._labels, key=str))
 
-    def degree(self, vertex) -> int:
-        try:
-            return len(self._adj[vertex])
-        except KeyError:
-            raise LabelNotFoundError(vertex) from None
-
     def neighbors(self, vertex) -> dict:
         return dict(self._adj[vertex])
 

@@ -227,6 +227,51 @@ class TestIntegerize:
         with pytest.raises(InternalError):
             integerize_certificate_info(K4_CERT)
 
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            star({"a": 1, "b": 1, "c": 2, "d": 3}, (1, 3)),
+            star({"a": 1, "b": 2, "c": 3}, (Fraction(7, 2), 4)),
+            star({"a": 1, "b": 2, "c": 3}, (Fraction(5, 2), Fraction(11, 4))),
+            star({"a": 1, "b": 2, "c": 3}, (Fraction(9, 2),)),
+        ],
+    )
+    def test_lp_point_without_room_raises(self, monkeypatch, cert):
+        # the zero point makes every weight 1, so distances merge and the
+        # free thresholds find no room: an LP fault, not a malformed input
+        monkeypatch.setattr(exactlp, "find_feasible_point", lambda num_vars, rows: [Fraction(0)] * num_vars)
+        with pytest.raises(InternalError):
+            integerize_certificate_info(cert)
+
+    @pytest.mark.parametrize("edges", [[], [("hub", "a", Fraction(1, 2))]])
+    def test_one_leaf_takes_thresholds_one_to_q(self, edges):
+        # no leaf pair, so no distance and no row: every threshold lies in
+        # the top gap
+        tree = WeightedTree(edges, {"a": "a"})
+        cert = GlpCertificate(tree, ThresholdSequence((Fraction(1, 2), Fraction(5, 3), 7)))
+        result = integerize_certificate_info(cert)
+        assert result.certificate.thresholds.thresholds == (1, 2, 3)
+        assert result.basic
+        new_tree = result.certificate.tree
+        assert (new_tree.vertices, new_tree.leaf_labels) == (tree.vertices, tree.leaf_labels)
+        assert new_tree.edges == tuple((u, v, 1) for u, v, _ in tree.edges)
+
+    @pytest.mark.parametrize(
+        "theta, basic",
+        [
+            ((3, 5), True),  # all tied
+            ((6,), True),  # above the largest distance
+            ((5, 6, 7), True),  # tied, then above
+            ((1,), False),  # below the least distance
+            ((Fraction(7, 2),), False),  # strictly between 3 and 4
+            ((3, Fraction(9, 2)), False),  # tied, then strictly between 4 and 5
+        ],
+    )
+    def test_basic_rule(self, theta, basic):
+        # distances 3, 4, 5: only a free threshold below 5 widens a margin
+        result = integerize_certificate_info(star({"a": 1, "b": 2, "c": 3}, theta))
+        assert result.basic is basic
+
 
 def brute_force_chordal(graph):
     """Independent oracle: search for an induced cycle of length >= 4."""

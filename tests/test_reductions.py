@@ -325,6 +325,23 @@ class TestLeafRoot:
         cert = leaf_root_from_tree(tree, toc_from_tree(tree))
         assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (2, 5, 9),  # integer
+            (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)),  # rational, scaled by 2
+            (1, 2, 3),  # diameter 5 < 6, scaled by 6
+        ],
+    )
+    def test_scales_without_a_scaled_copy(self, monkeypatch, weights):
+        def scaled(self, factor):
+            raise AssertionError("leaf_root_from_tree built a scaled copy")
+
+        monkeypatch.setattr(WeightedTree, "scaled", scaled)
+        tree = WeightedTree([("c", x, w) for x, w in zip("123", weights)], {x: x for x in "123"})
+        toc = toc_from_tree(tree)
+        assert verify_certificate(build_gs(toc).graph, leaf_root_from_tree(tree, toc))
+
     def test_rational_weights_accepted(self):
         tree = WeightedTree(
             [("c", "1", Fraction(1, 2)), ("c", "2", Fraction(3, 2)), ("c", "3", Fraction(7, 2))],
